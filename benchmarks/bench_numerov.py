@@ -4,9 +4,12 @@
 Two views:
   * kernel microbenchmark -- raw outward sweeps on a deuteron-sized mesh,
     both implementations imported side by side;
-  * end-to-end -- a bound-state solve plus a 200-point phase sweep, run in
+  * end-to-end -- two bound-state solves plus a 200-point phase-shift
+    curve (``phase_shift_curve``, as the CLI computes it), run in
     subprocesses so the import-time backend selection is exercised
-    (SUSYPEP_PURE_PYTHON=1 forces the fallback).
+    (SUSYPEP_PURE_PYTHON=1 forces the fallback). The fallback sweeps the
+    curve's energies together in numpy; the compiled backend sweeps them
+    one by one.
 
 Usage: python benchmarks/bench_numerov.py [--quick]
 """
@@ -31,7 +34,7 @@ STEP = 0.01
 _END_TO_END = r"""
 import time
 import numpy as np
-from susypep import (ChannelConstants, SechSquared, default_grid, phase_shift,
+from susypep import (ChannelConstants, SechSquared, default_grid, phase_shift_curve,
                      solve_bound_state)
 from susypep._kernels import BACKEND
 
@@ -45,8 +48,7 @@ solve_bound_state(potential, channel, target_nodes=1, grid=grid)
 t_solve = time.perf_counter() - start
 
 start = time.perf_counter()
-for energy in 0.1 + 0.1 * np.arange(200):
-    phase_shift(potential, channel, float(energy), grid=grid)
+phase_shift_curve(potential, channel, 0.1 + 0.1 * np.arange(200), grid=grid)
 t_phase = time.perf_counter() - start
 
 print(f"{BACKEND} {t_solve:.4f} {t_phase:.4f}")
@@ -98,14 +100,14 @@ def main():
     if len(rows) == 2:
         print(f"  speedup {rows[1][1] / rows[0][1]:10.1f} x")
 
-    print("\nend-to-end (subprocess per backend): two bound solves + 200-point phase sweep")
+    print("\nend-to-end (subprocess per backend): two bound solves + 200-point phase curve")
     for pure in (False, True):
         try:
             backend, t_solve, t_phase = bench_end_to_end(pure)
         except subprocess.CalledProcessError as exc:
             print(f"  run failed: {exc.stderr.strip()}")
             continue
-        print(f"  {backend:7s} solves {t_solve * 1e3:8.1f} ms   phase sweep {t_phase * 1e3:8.1f} ms")
+        print(f"  {backend:7s} solves {t_solve * 1e3:8.1f} ms   phase curve {t_phase * 1e3:8.1f} ms")
 
 
 if __name__ == "__main__":

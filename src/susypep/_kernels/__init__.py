@@ -3,8 +3,17 @@
 The compiled module is preferred when importable; set SUSYPEP_PURE_PYTHON=1
 to force the fallback (used by the benchmark and backend-parity tests).
 ``BACKEND`` names the implementation actually in use.
+
+``sweep_outward_batch`` sweeps many energies at once. The fallback runs
+them together in numpy, row by row, which costs a few milliseconds per
+curve instead of about half a millisecond per energy. The compiled backend,
+and the fallback given a single energy, run the scalar sweep once per
+energy: at tens of microseconds each it stays cheaper than the numpy rows
+below about a hundred energies.
 """
 import os
+
+import numpy as np
 
 from . import _numerov_py
 
@@ -19,7 +28,27 @@ else:
         _impl = _numerov_py
         BACKEND = "python"
 
+
 sweep_outward = _impl.sweep_outward
 sweep_inward = _impl.sweep_inward
 
-__all__ = ["BACKEND", "sweep_outward", "sweep_inward"]
+
+def sweep_outward_batch(v, energies, c, h, u0, u1, mid):
+    """Outward sweeps of u'' = (v - E) / c u for every E, stopping at mid + 1.
+
+    Returns (rows, log_scale): rows[k] holds u[mid - 1 + k] for k = 0, 1, 2
+    with shape (3, len(energies)); log_scale is per energy. Each energy's
+    values are bit-identical to its own ``sweep_outward``.
+    """
+    if _impl is _numerov_py and len(energies) > 1:
+        return _numerov_py.sweep_outward_batch(v, energies, c, h, u0, u1, mid)
+    v = np.asarray(v, dtype=float)
+    rows = np.empty((3, len(energies)))
+    log_scale = np.empty(len(energies))
+    for j, energy in enumerate(energies):
+        u, log_scale[j] = _impl.sweep_outward((v - energy) / c, h, u0[j], u1[j], mid + 1)
+        rows[:, j] = u[mid - 1:mid + 2]
+    return rows, log_scale
+
+
+__all__ = ["BACKEND", "sweep_outward", "sweep_inward", "sweep_outward_batch"]

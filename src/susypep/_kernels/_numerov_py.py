@@ -9,6 +9,11 @@ serve the solver. The recurrence solves u'' = f(r) u on a uniform mesh:
 Both sweeps rescale the computed prefix whenever |u| exceeds ``guard`` and
 report the accumulated log-scale (true_u = returned_u * exp(log_scale)),
 so deeply classically-forbidden integrations never overflow.
+
+``sweep_outward_batch`` runs the outward recurrence for many energies at
+once with numpy, one radial row at a time across all energies: a few ufunc
+calls per row whatever the number of energies, which is what a
+phase-shift curve needs from the interpreted backend.
 """
 import math
 
@@ -65,3 +70,60 @@ def sweep_inward(f, h, u_last, u_second_last, stop):
             log_scale += -math.log(_SHRINK)
         u[j - 1] = prv
     return np.array(u), log_scale
+
+
+def sweep_outward_batch(v, energies, c, h, u0, u1, mid, block=64):
+    """Outward sweeps of u'' = f u, f = (v - E) / c, for every E in ``energies``.
+
+    Each column performs exactly the arithmetic of ``sweep_outward`` on
+    f = (v - E) / c with stop = mid + 1 (mid >= 1), so its values are
+    bit-identical to a scalar sweep. The coefficients are built ``block``
+    radial points at a time and only the current block of u is held, so
+    memory stays O(block * len(energies)) whatever the grid length.
+
+    Returns (rows, log_scale): rows[k] holds u[mid - 1 + k] for k = 0, 1, 2
+    with shape (3, len(energies)); log_scale is per energy.
+    """
+    v = np.asarray(v, dtype=float)
+    e = np.asarray(energies, dtype=float)
+    t = h * h / 12.0
+    log_scale = np.zeros(e.shape)
+    u = np.empty((block + 2, e.size))   # u[k] holds grid index lo - 1 + k
+    u[0], u[1] = u0, u1
+    n = 0
+    for lo in range(1, mid + 1, block):
+        u[:2] = u[n:n + 2]              # carry the last two rows over
+        n = min(block, mid + 1 - lo)    # rows lo + 1 .. lo + n are computed
+        f = (v[lo - 1:lo + n + 1, None] - e) / c
+        a = 1.0 - t * f
+        b = 2.0 + 10.0 * t * f
+        start = u[:2].copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            _recur(u, a, b, n, None)
+        if not np.abs(u[:n + 2]).max() <= GUARD:
+            # some |u| passed GUARD (or is not finite): redo this block
+            # checking every row, as the scalar sweep does
+            u[:2] = start
+            _recur(u, a, b, n, log_scale)
+    return u[n - 1:n + 2].copy(), log_scale
+
+
+def _recur(u, a, b, n, log_scale):
+    """u[k + 2] = (b[k + 1] u[k + 1] - a[k] u[k]) / a[k + 2] for k < n.
+
+    With ``log_scale`` given, columns whose new value passes GUARD are
+    rescaled by _SHRINK together with their earlier rows.
+    """
+    rows, a, b = list(u), list(a), list(b)   # row views, indexed cheaply
+    tmp = np.empty(u.shape[1])
+    for k in range(n):
+        nxt = rows[k + 2]
+        np.multiply(b[k + 1], rows[k + 1], out=nxt)
+        np.multiply(a[k], rows[k], out=tmp)
+        np.subtract(nxt, tmp, out=nxt)
+        np.divide(nxt, a[k + 2], out=nxt)
+        if log_scale is not None:
+            big = (nxt > GUARD) | (nxt < -GUARD)
+            if big.any():
+                u[:k + 3, big] *= _SHRINK
+                log_scale[big] += -math.log(_SHRINK)

@@ -28,6 +28,7 @@ from .observables import (
     charge_radius,
     cross_section_ratio,
     matter_radius,
+    mod_pi_distance,
     phase_shift_curve,
     rms_radius,
     zero_range_strength,
@@ -358,8 +359,7 @@ def cmd_phase(cfg: RunConfig) -> int:
     for label, pot in (("V1", potential), ("V2", records[0].result), ("V3", records[1].result)):
         curves[label] = phase_shift_curve(pot, preset.channel, energies, grid=cfg.grid,
                                           provenance=label)
-    gaps = np.abs(curves["V3"].deltas - curves["V1"].deltas) % np.pi
-    worst = float(np.max(np.minimum(gaps, np.pi - gaps)))
+    worst = float(np.max(mod_pi_distance(curves["V3"].deltas, curves["V1"].deltas)))
     print(f"phase {preset.name}: {len(energies)} energies, "
           f"max |delta_V3 - delta_V1| mod pi = {worst:.2e} rad")
     if writer:

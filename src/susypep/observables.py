@@ -103,6 +103,28 @@ def _match_index(v: np.ndarray, grid: RadialGrid, r_match: float | None) -> int:
     return idx
 
 
+def _free_wave_phases(v, energies, c, p, grid, mi) -> np.ndarray:
+    """Principal-branch phases of outward sweeps matched to the free s-wave at ``mi``.
+
+    Each sweep starts from the origin series; the log-derivative at ``mi``
+    comes from the Numerov first derivative. The energies share one
+    batched sweep, bit-identical per energy to the scalar sweep.
+    """
+    e = np.asarray(energies, dtype=float)
+    h = grid.step
+    u0, u1 = _series_start((v[:2, None] - e) / c, p, grid)
+    rows, _ = _kernels.sweep_outward_batch(v, e, c, h, u0, u1, mi)
+    t = h**2 / 12.0
+    f_prev, f_next = (v[[mi - 1, mi + 1], None] - e) / c
+    du = (rows[2] * (1.0 - 2.0 * t * f_next) - rows[0] * (1.0 - 2.0 * t * f_prev)) / (2.0 * h)
+    deltas = np.empty(e.size)
+    for j, (energy, u_mid, du_mid) in enumerate(zip(e, rows[1], du)):
+        k = math.sqrt(energy / c)
+        delta = (math.atan2(k * u_mid, du_mid) - k * grid.r[mi]) % math.pi
+        deltas[j] = delta - math.pi if delta > math.pi / 2.0 else delta
+    return deltas
+
+
 def phase_shift(
     potential: PotentialModel,
     channel: ChannelConstants,
@@ -119,24 +141,11 @@ def phase_shift(
     """
     if energy <= 0.0:
         raise DomainError(f"scattering energy must be > 0, got {energy}")
-    c = channel.hbar2_over_2mu
     g = _grid_for(potential, grid)
     v = values_on_grid(potential, g)
     mi = _match_index(v, g, r_match)
-    f = (v - energy) / c
-    p = origin_power(potential)
-    u1, u2 = _series_start(f, p, g)
-    u, _ = _kernels.sweep_outward(f, g.step, u1, u2, mi + 1)
-    t = g.step**2 / 12.0
-    du = (u[mi + 1] * (1.0 - 2.0 * t * f[mi + 1]) - u[mi - 1] * (1.0 - 2.0 * t * f[mi - 1])) / (
-        2.0 * g.step
-    )
-    k = math.sqrt(energy / c)
-    theta = math.atan2(k * u[mi], du)
-    delta = (theta - k * g.r[mi]) % math.pi
-    if delta > math.pi / 2.0:
-        delta -= math.pi
-    return delta
+    c, p = channel.hbar2_over_2mu, origin_power(potential)
+    return _free_wave_phases(v, [energy], c, p, g, mi)[0]
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,12 @@ def phase_shift_curve(
     e = np.asarray(list(energies), dtype=float)
     if e.size == 0:
         raise DomainError("energy sweep is empty")
-    raw = np.array([phase_shift(potential, channel, float(en), r_match, grid) for en in e])
+    if np.any(e <= 0.0):
+        raise DomainError(f"scattering energies must be > 0, got {e[e <= 0.0][0]}")
+    g = _grid_for(potential, grid)
+    v = values_on_grid(potential, g)
+    mi = _match_index(v, g, r_match)
+    raw = _free_wave_phases(v, e, channel.hbar2_over_2mu, origin_power(potential), g, mi)
     n_bound = count_bound_states(potential, channel, grid=grid)
     deltas = np.empty_like(raw)
     anchor = n_bound * math.pi
@@ -193,10 +207,13 @@ def phase_shift_curve(
     return PhaseShiftCurve(energies=e, deltas=deltas, provenance=provenance)
 
 
-def mod_pi_distance(a: float, b: float) -> float:
-    """Distance between two phases on the circle of circumference pi."""
-    d = abs(a - b) % math.pi
-    return min(d, math.pi - d)
+def mod_pi_distance(a, b):
+    """Distance between two phases on the circle of circumference pi.
+
+    Works elementwise on arrays as well as on scalars.
+    """
+    d = np.abs(np.subtract(a, b)) % math.pi
+    return np.minimum(d, math.pi - d)
 
 
 @dataclass(frozen=True)

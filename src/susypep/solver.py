@@ -89,10 +89,8 @@ class RegularSolution:
 def count_nodes(u) -> int:
     """Strict sign changes over the array (exact zeros are skipped)."""
     arr = np.asarray(u, dtype=float)
-    nz = arr[arr != 0.0]
-    if nz.size < 2:
-        return 0
-    return int(np.count_nonzero(nz[1:] * nz[:-1] < 0.0))
+    negative = np.signbit(arr[arr != 0.0])
+    return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
 def node_positions(u, grid: RadialGrid) -> np.ndarray:

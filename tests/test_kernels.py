@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from susypep import _kernels
 from susypep._kernels import BACKEND, _numerov_py
 
 try:
@@ -81,3 +82,35 @@ def test_backends_agree_on_rescaled_sweep():
 
 def test_backend_name_is_reported():
     assert BACKEND in ("cython", "python")
+
+
+def test_batched_outward_sweep_equals_scalar_sweeps():
+    # a well, a barrier that forces one rescale at some energies, and a free tail
+    h, n, c, mid = 0.01, 2500, 41.47, 2200
+    r = h * np.arange(1, n + 1)
+    v = np.where(r < 2.0, -60.0, 0.0) + np.where((r > 3.0) & (r < 16.0), 1e5, 0.0)
+    energies = np.array([0.3, 1.0, 4.0, 12.5, 2e5])
+    u0, u1 = r[0] * np.ones(5), r[1] * np.linspace(1.0, 1.1, 5)
+    rows, log_scale = _numerov_py.sweep_outward_batch(v, energies, c, h, u0, u1, mid)
+    assert log_scale[0] > 0.0 and log_scale[-1] == 0.0
+    for j, energy in enumerate(energies):
+        u, scale = _numerov_py.sweep_outward((v - energy) / c, h, u0[j], u1[j], mid + 1)
+        assert np.array_equal(rows[:, j], u[mid - 1:mid + 2])
+        assert scale == log_scale[j]
+        if BACKEND == "python":
+            # given one energy, the package-level entry runs the scalar sweep
+            one, one_scale = _kernels.sweep_outward_batch(
+                v, energies[j:j + 1], c, h, u0[j:j + 1], u1[j:j + 1], mid
+            )
+            assert np.array_equal(one[:, 0], rows[:, j]) and one_scale[0] == scale
+
+
+@pytest.mark.parametrize("mid", [1, 2, 63, 64, 65, 130])
+def test_batched_outward_sweep_block_edges(mid):
+    h, c = 0.05, 1.0
+    v = np.linspace(-3.0, 5.0, 200)
+    energies = np.array([0.5, 2.0])
+    rows, _ = _numerov_py.sweep_outward_batch(v, energies, c, h, [0.1, 0.1], [0.2, 0.3], mid)
+    for j, energy in enumerate(energies):
+        u, _ = _numerov_py.sweep_outward((v - energy) / c, h, 0.1, (0.2, 0.3)[j], mid + 1)
+        assert np.array_equal(rows[:, j], u[mid - 1:mid + 2])

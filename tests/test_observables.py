@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,15 +15,18 @@ from susypep import (
     Tabulated,
     TransferStrength,
     charge_radius,
+    count_bound_states,
     cross_section_ratio,
     integrate,
     matter_radius,
     mod_pi_distance,
     phase_shift,
     phase_shift_curve,
+    remove_lowest,
     rms_radius,
     zero_range_strength,
 )
+from susypep import _kernels
 
 CH_D = ChannelConstants(41.47, "n-p")
 
@@ -157,6 +161,99 @@ def test_curve_is_continuous_and_anchored(deuteron_chain):
 def test_curve_rejects_unsorted_energies(deuteron_chain):
     with pytest.raises(DomainError):
         phase_shift_curve(deuteron_chain.potential, CH_D, [5.0, 1.0], grid=deuteron_chain.grid)
+
+
+def _scalar_curve(potential, channel, energies, grid):
+    """Reference curve: one scalar phase_shift per energy, unwrapped sample by sample."""
+    branch = count_bound_states(potential, channel, grid=grid) * math.pi
+    deltas = []
+    for energy in energies:
+        raw = phase_shift(potential, channel, float(energy), grid=grid)
+        branch = raw + math.pi * round((branch - raw) / math.pi)
+        deltas.append(branch)
+    return np.array(deltas)
+
+
+def _assert_curve_is_scalar_curve(potential, channel, energies, grid):
+    curve = phase_shift_curve(potential, channel, energies, grid=grid)
+    # bit for bit, not approximately: the batch repeats the scalar arithmetic
+    assert np.array_equal(curve.deltas, _scalar_curve(potential, channel, energies, grid))
+
+
+@pytest.mark.parametrize("chain_name", ["deuteron_chain", "be11_chain", "alpha_chain"])
+def test_batched_curve_equals_scalar_phases_on_default_grid(chain_name, request):
+    chain = request.getfixturevalue(chain_name)
+    energies = 0.1 + 0.1 * np.arange(200)
+    for potential in (chain.potential, chain.rec2.result, chain.rec3.result):
+        _assert_curve_is_scalar_curve(potential, chain.channel, energies, chain.grid)
+
+
+@pytest.mark.parametrize("chain_name", ["deuteron_chain", "be11_chain", "alpha_chain"])
+def test_batched_curve_equals_scalar_phases_on_fine_long_grid(chain_name, request):
+    chain = request.getfixturevalue(chain_name)
+    grid = RadialGrid.from_extent(0.005, 100.0)
+    rec2, rec3 = remove_lowest(chain.potential, chain.channel, grid=grid)
+    energies = np.linspace(0.5, 20.5, 21)
+    for potential in (chain.potential, rec2.result, rec3.result):
+        _assert_curve_is_scalar_curve(potential, chain.channel, energies, grid)
+
+
+def test_batched_curve_through_an_overflow_rescale(monkeypatch):
+    # a 1e5 MeV barrier over 1-14 fm grows u past GUARD once before the match
+    grid = RadialGrid.from_extent(0.01, 35.0)
+    values = np.where((grid.r >= 1.0) & (grid.r <= 14.0), 1e5, 0.0)
+    barrier = Tabulated(grid, values, 0.0, CH_D.hbar2_over_2mu)
+    scales = []
+    batch = _kernels.sweep_outward_batch
+
+    def spy(*args, **kwargs):
+        rows, log_scale = batch(*args, **kwargs)
+        scales.append(log_scale)
+        return rows, log_scale
+
+    energies = np.linspace(0.5, 10.0, 20)
+    monkeypatch.setattr(_kernels, "sweep_outward_batch", spy)
+    curve = phase_shift_curve(barrier, CH_D, energies, grid=grid)
+    monkeypatch.undo()
+    assert np.array_equal(curve.deltas, _scalar_curve(barrier, CH_D, energies, grid))
+    assert len(scales) == 1
+    assert np.all(scales[0] == -math.log(1e-250))     # 575.6: exactly one rescale
+
+
+@pytest.mark.parametrize("energies", [[0.0, 1.0, 2.0], [-1.0, 1.0, 2.0], [1.0, 2.0, -3.0]])
+def test_curve_rejects_non_positive_energy_before_sweeping(deuteron_chain, monkeypatch, energies):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before the energies were validated")
+
+    monkeypatch.setattr(_kernels, "sweep_outward", no_sweep)
+    monkeypatch.setattr(_kernels, "sweep_outward_batch", no_sweep)
+    with pytest.raises(DomainError, match="must be > 0"):
+        phase_shift_curve(deuteron_chain.potential, CH_D, energies, grid=deuteron_chain.grid)
+
+
+def test_batched_curve_memory_stays_bounded(deuteron_chain):
+    # a full coefficient array over the 2000 points up to the match radius
+    # alone would take 400 x 2000 x 8 B = 6.4 MB
+    energies = 0.05 + 0.05 * np.arange(400)
+    tracemalloc.start()
+    try:
+        phase_shift_curve(deuteron_chain.potential, CH_D, energies, grid=deuteron_chain.grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_mod_pi_distance_on_arrays_matches_scalars():
+    a = np.array([0.1, 3.0, -2.0, 7.0, 1.5707963])
+    b = np.array([0.1 + math.pi, 0.2, 1.0, -7.0, -1.5707963])
+    distances = mod_pi_distance(a, b)
+    assert distances.shape == a.shape
+    assert np.array_equal(distances, [mod_pi_distance(x, y) for x, y in zip(a, b)])
+    for x, y in zip(a.tolist(), b.tolist()):
+        # the plain-float formula the scalar results must keep
+        d = abs(x - y) % math.pi
+        assert mod_pi_distance(x, y) == min(d, math.pi - d)
 
 
 # --- transfer strength ----------------------------------------------------------------

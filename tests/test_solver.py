@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,20 @@ def test_free_sine_node_count():
     for k in (0.5, 1.0, 2.3):
         u = np.sin(k * grid.r)
         assert count_nodes(u) == math.floor(35.0 * k / math.pi)
+
+
+def test_node_count_survives_overflow_and_underflow_of_neighbour_products():
+    # the neighbour products overflow to -inf and underflow to -0.0 here
+    u = np.array([1e200, -1e200, 1e-300, -1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert count_nodes(u) == 3
+
+
+def test_node_count_skips_exact_zeros():
+    assert count_nodes([0.0, 1.0, 0.0, -0.0, -2.0, 0.0, 3.0]) == 2
+    assert count_nodes([0.0, -1.0]) == 0
+    assert count_nodes([]) == 0
 
 
 def test_ground_states_are_nodeless(deuteron_chain):
