@@ -5,11 +5,12 @@ to force the fallback (used by the benchmark and backend-parity tests).
 ``BACKEND`` names the implementation actually in use.
 
 ``sweep_outward_batch`` sweeps many energies at once. The fallback runs
-them together in numpy, row by row, which costs a few milliseconds per
-curve instead of about half a millisecond per energy. The compiled backend,
-and the fallback given a single energy, run the scalar sweep once per
-energy: at tens of microseconds each it stays cheaper than the numpy rows
-below about a hundred energies.
+them together in numpy, row by row, at a cost per curve of about four to
+five scalar sweeps whatever the number of energies; shorter curves loop
+over the scalar sweep instead. The compiled backend always loops over its
+own scalar sweep, so that each energy stays bit-identical to the compiled
+``sweep_outward``: the numpy rows reproduce the fallback's arithmetic,
+whose results differ from the compiled sweep's in the last bits.
 """
 import os
 
@@ -32,6 +33,11 @@ else:
 sweep_outward = _impl.sweep_outward
 sweep_inward = _impl.sweep_inward
 
+# Fewest energies for which the fallback's numpy rows beat a scalar loop:
+# the two cross at 4-5 energies on 0.01 fm x 35 fm and 0.005 fm x 100 fm
+# deuteron grids (2-vCPU Xeon VM).
+_MIN_BATCH = 5
+
 
 def sweep_outward_batch(v, energies, c, h, u0, u1, mid):
     """Outward sweeps of u'' = (v - E) / c u for every E, stopping at mid + 1.
@@ -40,7 +46,7 @@ def sweep_outward_batch(v, energies, c, h, u0, u1, mid):
     with shape (3, len(energies)); log_scale is per energy. Each energy's
     values are bit-identical to its own ``sweep_outward``.
     """
-    if _impl is _numerov_py and len(energies) > 1:
+    if _impl is _numerov_py and len(energies) >= _MIN_BATCH:
         return _numerov_py.sweep_outward_batch(v, energies, c, h, u0, u1, mid)
     v = np.asarray(v, dtype=float)
     rows = np.empty((3, len(energies)))

@@ -21,6 +21,7 @@ import numpy as np
 
 GUARD = 1e250
 _SHRINK = 1e-250
+_BLOCK = 64   # radial rows per coefficient block in sweep_outward_batch
 
 
 def sweep_outward(f, h, u0, u1, stop):
@@ -72,14 +73,14 @@ def sweep_inward(f, h, u_last, u_second_last, stop):
     return np.array(u), log_scale
 
 
-def sweep_outward_batch(v, energies, c, h, u0, u1, mid, block=64):
+def sweep_outward_batch(v, energies, c, h, u0, u1, mid):
     """Outward sweeps of u'' = f u, f = (v - E) / c, for every E in ``energies``.
 
     Each column performs exactly the arithmetic of ``sweep_outward`` on
     f = (v - E) / c with stop = mid + 1 (mid >= 1), so its values are
-    bit-identical to a scalar sweep. The coefficients are built ``block``
+    bit-identical to a scalar sweep. The coefficients are built ``_BLOCK``
     radial points at a time and only the current block of u is held, so
-    memory stays O(block * len(energies)) whatever the grid length.
+    memory stays O(_BLOCK * len(energies)) whatever the grid length.
 
     Returns (rows, log_scale): rows[k] holds u[mid - 1 + k] for k = 0, 1, 2
     with shape (3, len(energies)); log_scale is per energy.
@@ -88,12 +89,12 @@ def sweep_outward_batch(v, energies, c, h, u0, u1, mid, block=64):
     e = np.asarray(energies, dtype=float)
     t = h * h / 12.0
     log_scale = np.zeros(e.shape)
-    u = np.empty((block + 2, e.size))   # u[k] holds grid index lo - 1 + k
+    u = np.empty((_BLOCK + 2, e.size))   # u[k] holds grid index lo - 1 + k
     u[0], u[1] = u0, u1
     n = 0
-    for lo in range(1, mid + 1, block):
+    for lo in range(1, mid + 1, _BLOCK):
         u[:2] = u[n:n + 2]              # carry the last two rows over
-        n = min(block, mid + 1 - lo)    # rows lo + 1 .. lo + n are computed
+        n = min(_BLOCK, mid + 1 - lo)    # rows lo + 1 .. lo + n are computed
         f = (v[lo - 1:lo + n + 1, None] - e) / c
         a = 1.0 - t * f
         b = 2.0 + 10.0 * t * f

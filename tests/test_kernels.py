@@ -105,10 +105,13 @@ def test_batched_outward_sweep_equals_scalar_sweeps():
             assert np.array_equal(one[:, 0], rows[:, j]) and one_scale[0] == scale
 
 
-@pytest.mark.parametrize("mid", [1, 2, 63, 64, 65, 130])
+_B = _numerov_py._BLOCK
+
+
+@pytest.mark.parametrize("mid", [1, 2, _B - 1, _B, _B + 1, 2 * _B + 2])
 def test_batched_outward_sweep_block_edges(mid):
     h, c = 0.05, 1.0
-    v = np.linspace(-3.0, 5.0, 200)
+    v = np.linspace(-3.0, 5.0, 2 * _B + 8)
     energies = np.array([0.5, 2.0])
     rows, _ = _numerov_py.sweep_outward_batch(v, energies, c, h, [0.1, 0.1], [0.2, 0.3], mid)
     for j, energy in enumerate(energies):
