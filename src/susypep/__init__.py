@@ -36,6 +36,7 @@ from .observables import (
     rms_radius,
     zero_range_strength,
 )
+from .pipeline import ChainResult, analyze
 from .potentials import (
     Gaussian,
     PotentialModel,

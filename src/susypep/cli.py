@@ -14,30 +14,19 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, SusypepError
-from .fitting import (
-    FitResult,
-    SystemPreset,
-    fit_parameters,
-    get_preset,
-    load_preset_config,
-)
+from .fitting import SystemPreset, fit_parameters, get_preset, load_preset_config
 from .grids import DEFAULT_R_MAX, DEFAULT_STEP, RadialGrid
 from .io import OutputWriter
 from .observables import (
     ObservableReport,
     charge_radius,
-    cross_section_ratio,
     matter_radius,
     mod_pi_distance,
-    phase_shift_curve,
     rms_radius,
-    zero_range_strength,
 )
-from .potentials import SechSquared, analytic_depth, analytic_levels, level_count, values_on_grid
+from .pipeline import analyze
+from .potentials import analytic_depth, analytic_levels, level_count, values_on_grid
 from .solver import solve_bound_state
-from .transform import iterate_removals
-
-log = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,15 +118,6 @@ class RunConfig:
         return OutputWriter(self.out_dir) if self.out_dir else None
 
 
-def _parameters(cfg: RunConfig) -> tuple[float, float, FitResult | None]:
-    """Canonical parameter pair, fitting first when the preset has none."""
-    preset = cfg.preset
-    if preset.canonical_a_tilde is not None and preset.canonical_beta is not None:
-        return preset.canonical_a_tilde, preset.canonical_beta, None
-    result = fit_parameters(preset, grid=cfg.grid)
-    return result.a_tilde, result.beta, result
-
-
 def _reference_pair_notes(preset: SystemPreset) -> list[str]:
     if preset.reference_pair is None:
         return []
@@ -151,12 +131,6 @@ def _reference_pair_notes(preset: SystemPreset) -> list[str]:
             "energy and rms constraints instead"
         )
     ]
-
-
-def _chain(cfg: RunConfig, a_tilde: float, beta: float, removals: int = 1):
-    potential = SechSquared(a_tilde, beta, cfg.preset.channel.hbar2_over_2mu)
-    records = iterate_removals(potential, cfg.preset.channel, removals, grid=cfg.grid)
-    return potential, records
 
 
 def cmd_fit(cfg: RunConfig) -> int:
@@ -187,16 +161,16 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     preset = cfg.preset
-    a_tilde, beta, fit = _parameters(cfg)
-    channel = preset.channel
-    potential = SechSquared(a_tilde, beta, channel.hbar2_over_2mu)
+    chain = analyze(preset, cfg.grid, removals=0)
+    a_tilde, beta, channel = chain.a_tilde, chain.beta, chain.channel
     depth = analytic_depth(a_tilde, beta, channel)
-    rows = []
     print(f"spectrum {preset.name}: a_tilde={a_tilde:.6f} beta={beta:.6f} /fm depth={depth:.3f} MeV")
+    levels = []
     for n in range(level_count(a_tilde)):
         e_analytic = analytic_levels(a_tilde, beta, channel, n)
-        state = solve_bound_state(potential, channel, target_nodes=n, grid=cfg.grid)
-        rows.append((n, e_analytic, state.energy, state.nodes, state.kappa))
+        state = solve_bound_state(chain.potential, channel, target_nodes=n, grid=cfg.grid)
+        levels.append({"n": n, "analytic_MeV": e_analytic, "numerical_MeV": state.energy,
+                       "nodes": state.nodes, "kappa_per_fm": state.kappa})
         print(
             f"  n={n}: analytic {e_analytic: .6f} MeV, numerical {state.energy: .6f} MeV,"
             f" nodes={state.nodes}"
@@ -208,93 +182,65 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             "a_tilde": a_tilde,
             "beta_per_fm": beta,
             "depth_MeV": depth,
-            "levels": [
-                {
-                    "n": n,
-                    "analytic_MeV": ea,
-                    "numerical_MeV": en,
-                    "nodes": nodes,
-                    "kappa_per_fm": kappa,
-                }
-                for n, ea, en, nodes, kappa in rows
-            ],
+            "levels": levels,
         }
-        if fit is not None:
-            payload["fit"] = fit.to_dict()
+        if chain.fit is not None:
+            payload["fit"] = chain.fit.to_dict()
         writer.write_json(f"spectrum_{preset.name}.json", payload)
         writer.finalize_manifest()
     return 0
 
 
-def _record_names(index: int) -> tuple[str, str]:
-    if index == 0:
-        return "V2", "V3"
-    return f"V2_removal{index + 1}", f"V3_removal{index + 1}"
-
-
 def cmd_partner(cfg: RunConfig) -> int:
-    preset = cfg.preset
-    a_tilde, beta, _ = _parameters(cfg)
-    potential, records = _chain(cfg, a_tilde, beta, removals=cfg.removals)
-    writer = cfg.writer()
-    sidecars = []
+    chain = analyze(cfg.preset, cfg.grid, removals=cfg.removals)
     print(
-        f"partner {preset.name}: {cfg.removals} removal(s),"
-        f" removed energies {[f'{rec.removed_energy:.4f}' for rec in records[::2]]} MeV"
+        f"partner {cfg.preset.name}: {cfg.removals} removal(s),"
+        f" removed energies {[f'{rec.removed_energy:.4f}' for rec in chain.records[::2]]} MeV"
     )
+    writer = cfg.writer()
     if writer:
         if cfg.csv:
             writer.write_csv(
-                "V1.csv", ["r_fm", "V_MeV"], [cfg.grid.r, values_on_grid(potential, cfg.grid)]
+                "V1.csv", ["r_fm", "V_MeV"], [cfg.grid.r, values_on_grid(chain.potential, cfg.grid)]
             )
-        for i in range(0, len(records), 2):
-            name2, name3 = _record_names(i // 2)
-            for name, rec in ((name2, records[i]), (name3, records[i + 1])):
-                if cfg.csv:
-                    writer.write_csv(
-                        f"{name}.csv", ["r_fm", "V_MeV"], [cfg.grid.r, rec.result.values]
-                    )
-                entry = rec.sidecar()
-                entry["file"] = f"{name}.csv"
-                sidecars.append(entry)
+        sidecars = []
+        for i, rec in enumerate(chain.records):
+            suffix = f"_removal{i // 2 + 1}" if i >= 2 else ""
+            name = f"V{2 + i % 2}{suffix}.csv"
+            if cfg.csv:
+                writer.write_csv(name, ["r_fm", "V_MeV"], [cfg.grid.r, rec.result.values])
+            sidecars.append({**rec.sidecar(), "file": name})
         if cfg.json:
-            writer.write_json("records.json", {"system": preset.name, "records": sidecars})
+            writer.write_json("records.json", {"system": cfg.preset.name, "records": sidecars})
         writer.finalize_manifest()
     return 0
 
 
+def _write_curves(writer: OutputWriter, curves) -> None:
+    for label, curve in curves.items():
+        writer.write_csv(
+            f"phase_{label}.csv",
+            ["E_MeV", "delta_rad", "delta_deg"],
+            [curve.energies, curve.deltas, np.degrees(curve.deltas)],
+        )
+
+
 def cmd_report(cfg: RunConfig) -> int:
     preset = cfg.preset
-    a_tilde, beta, fit = _parameters(cfg)
-    channel = preset.channel
-    potential, records = _chain(cfg, a_tilde, beta)
-    v2, v3 = records[0].result, records[1].result
-
-    deep_state = solve_bound_state(
-        potential, channel, target_nodes=preset.physical_node_count, grid=cfg.grid
-    )
-    v2_state = solve_bound_state(v2, channel, target_nodes=0, grid=cfg.grid)
-    pep_state = solve_bound_state(v3, channel, target_nodes=0, grid=cfg.grid)
-
-    factor = preset.coordinate_factor
-    rms = {
-        "deep": rms_radius(deep_state, factor),
-        "intermediate": rms_radius(v2_state, factor),
-        "pep": rms_radius(pep_state, factor),
-    }
+    chain = analyze(preset, cfg.grid)
+    states = {"deep": chain.physical, "intermediate": chain.v2_state, "pep": chain.v3_state}
+    rms = {label: rms_radius(state, preset.coordinate_factor) for label, state in states.items()}
     charge = matter = transfer = ratio = None
     if preset.r_proton is not None:
         charge = charge_radius(preset.r_proton, rms["deep"])
     if preset.core_mass_number is not None and preset.r_core is not None:
         matter = matter_radius(preset.core_mass_number, preset.r_core, rms["deep"])
     if preset.name == "deuteron":
-        deep_ts = zero_range_strength(potential, deep_state, provenance="deep")
-        pep_ts = zero_range_strength(v3, pep_state, provenance="pep")
+        deep_ts, pep_ts, ratio = chain.strengths
         transfer = {
-            "deep": {"d0_MeV_fm32": deep_ts.d0, "d0_squared_MeV2_fm3": deep_ts.d0_squared},
-            "pep": {"d0_MeV_fm32": pep_ts.d0, "d0_squared_MeV2_fm3": pep_ts.d0_squared},
+            label: {"d0_MeV_fm32": ts.d0, "d0_squared_MeV2_fm3": ts.d0_squared}
+            for label, ts in (("deep", deep_ts), ("pep", pep_ts))
         }
-        ratio = cross_section_ratio(deep_ts, pep_ts)
 
     notes = _reference_pair_notes(preset)
     report = ObservableReport(
@@ -316,77 +262,40 @@ def cmd_report(cfg: RunConfig) -> int:
 
     writer = cfg.writer()
     if writer:
-        if cfg.sweep is not None:
-            for label, pot in (("V1", potential), ("V2", v2), ("V3", v3)):
-                curve = phase_shift_curve(pot, channel, cfg.sweep, grid=cfg.grid,
-                                          provenance=label)
-                if cfg.csv:
-                    writer.write_csv(
-                        f"phase_{label}.csv",
-                        ["E_MeV", "delta_rad", "delta_deg"],
-                        [curve.energies, curve.deltas, np.degrees(curve.deltas)],
-                    )
         if cfg.csv:
-            for label, state in (
-                ("deep", deep_state),
-                ("intermediate", v2_state),
-                ("pep", pep_state),
-            ):
+            if cfg.sweep is not None:
+                _write_curves(writer, chain.curves(cfg.sweep))
+            for label, state in states.items():
                 writer.write_csv(f"u_{label}.csv", ["r_fm", "u"], [cfg.grid.r, state.u])
         if cfg.json:
             payload = report.to_dict()
-            payload["a_tilde"] = a_tilde
-            payload["beta_per_fm"] = beta
-            payload["states"] = {
-                "deep": deep_state.summary(),
-                "intermediate": v2_state.summary(),
-                "pep": pep_state.summary(),
-            }
-            if fit is not None:
-                payload["fit"] = fit.to_dict()
+            payload["a_tilde"] = chain.a_tilde
+            payload["beta_per_fm"] = chain.beta
+            payload["states"] = {label: state.summary() for label, state in states.items()}
+            if chain.fit is not None:
+                payload["fit"] = chain.fit.to_dict()
             writer.write_json(f"report_{preset.name}.json", payload)
         writer.finalize_manifest()
     return 0
 
 
 def cmd_phase(cfg: RunConfig) -> int:
-    preset = cfg.preset
-    a_tilde, beta, _ = _parameters(cfg)
     energies = cfg.sweep if cfg.sweep is not None else 0.1 + 0.1 * np.arange(0, 200)
-    potential, records = _chain(cfg, a_tilde, beta)
-    writer = cfg.writer()
-    curves = {}
-    for label, pot in (("V1", potential), ("V2", records[0].result), ("V3", records[1].result)):
-        curves[label] = phase_shift_curve(pot, preset.channel, energies, grid=cfg.grid,
-                                          provenance=label)
+    curves = analyze(cfg.preset, cfg.grid).curves(energies)
     worst = float(np.max(mod_pi_distance(curves["V3"].deltas, curves["V1"].deltas)))
-    print(f"phase {preset.name}: {len(energies)} energies, "
+    print(f"phase {cfg.preset.name}: {len(energies)} energies, "
           f"max |delta_V3 - delta_V1| mod pi = {worst:.2e} rad")
+    writer = cfg.writer()
     if writer:
-        for label, curve in curves.items():
-            writer.write_csv(
-                f"phase_{label}.csv",
-                ["E_MeV", "delta_rad", "delta_deg"],
-                [curve.energies, curve.deltas, np.degrees(curve.deltas)],
-            )
+        _write_curves(writer, curves)
         writer.finalize_manifest()
     return 0
 
 
 def cmd_transfer_ratio(cfg: RunConfig) -> int:
-    preset = cfg.preset
-    if preset.name != "deuteron":
+    if cfg.preset.name != "deuteron":
         raise ConfigError("transfer-ratio is defined for the deuteron preset only")
-    a_tilde, beta, _ = _parameters(cfg)
-    potential, records = _chain(cfg, a_tilde, beta)
-    deep_state = solve_bound_state(
-        potential, preset.channel, target_nodes=preset.physical_node_count, grid=cfg.grid
-    )
-    pep_state = solve_bound_state(records[1].result, preset.channel, target_nodes=0,
-                                  grid=cfg.grid)
-    deep_ts = zero_range_strength(potential, deep_state, provenance="deep")
-    pep_ts = zero_range_strength(records[1].result, pep_state, provenance="pep")
-    ratio = cross_section_ratio(deep_ts, pep_ts)
+    deep_ts, pep_ts, ratio = analyze(cfg.preset, cfg.grid).strengths
     print(f"D0^2(deep) = {deep_ts.d0_squared:.1f} MeV^2 fm^3")
     print(f"D0^2(pep)  = {pep_ts.d0_squared:.1f} MeV^2 fm^3")
     print(f"ratio      = {ratio:.4f}")
@@ -395,7 +304,7 @@ def cmd_transfer_ratio(cfg: RunConfig) -> int:
         writer.write_json(
             "transfer_ratio.json",
             {
-                "system": preset.name,
+                "system": cfg.preset.name,
                 "d0_squared_deep_MeV2_fm3": deep_ts.d0_squared,
                 "d0_squared_pep_MeV2_fm3": pep_ts.d0_squared,
                 "cross_section_ratio": ratio,
@@ -420,12 +329,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return _COMMANDS[args.command](RunConfig.from_args(args))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SusypepError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ConfigError) else 2
 
 
 if __name__ == "__main__":

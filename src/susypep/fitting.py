@@ -11,48 +11,21 @@ fit costs milliseconds and its energy residual is rounding-level.
 """
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import BracketError, ConfigError, ConvergenceError, DomainError
 from .grids import ChannelConstants, RadialGrid, default_grid
-from .observables import rms_radius
-from .potentials import analytic_levels
-from .solver import analytic_pt_state, solve_bound_state
+from .observables import _radius, rms_radius
+from .potentials import SechSquared, analytic_levels
+from .solver import BoundState, analytic_pt_state, solve_bound_state
 
 log = logging.getLogger(__name__)
 
 DEFAULT_BETA_BRACKET = (0.2, 5.0)   # fm^-1
 BETA_TOL = 1e-8                     # fm^-1, bisection interval at termination
 MAX_FIT_ITERATIONS = 200
-
-
-class _TailFilter(logging.Filter):
-    def filter(self, record):
-        return "tail truncation" not in record.getMessage()
-
-
-@contextlib.contextmanager
-def _quiet_tail_warnings():
-    """Mute the rms tail warning for trial states inside the fit loop.
-
-    The final fitted state is evaluated without this, so a genuinely short
-    grid still warns exactly once per fit.
-    """
-    target = logging.getLogger("susypep.observables")
-    flt = _TailFilter()
-    target.addFilter(flt)
-    try:
-        yield
-    finally:
-        target.removeFilter(flt)
-
-
-@contextlib.contextmanager
-def _no_op():
-    yield
 
 
 @dataclass(frozen=True)
@@ -180,20 +153,6 @@ def a_tilde_from_energy(energy: float, beta: float, channel: ChannelConstants, n
     return 2.0 * n + 1.0 + math.sqrt(-energy / channel.hbar2_over_2mu) / beta
 
 
-def _state_rms(
-    preset: SystemPreset, a_tilde: float, beta: float, grid: RadialGrid
-) -> float:
-    n = preset.physical_node_count
-    if n <= 1:
-        state = analytic_pt_state(a_tilde, beta, preset.channel, n, grid=grid)
-    else:
-        from .potentials import SechSquared
-
-        potential = SechSquared(a_tilde, beta, preset.channel.hbar2_over_2mu)
-        state = solve_bound_state(potential, preset.channel, target_nodes=n, grid=grid)
-    return rms_radius(state, preset.coordinate_factor)
-
-
 def fit_parameters(
     preset: SystemPreset,
     beta_bracket: tuple[float, float] = DEFAULT_BETA_BRACKET,
@@ -216,13 +175,19 @@ def fit_parameters(
     if not 0.0 < lo < hi:
         raise BracketError(f"invalid beta bracket ({lo}, {hi})")
 
-    def rms_at(beta: float, quiet: bool = True) -> float:
+    def state_at(beta: float) -> BoundState:
         try:
             a_tilde = a_tilde_from_energy(target_e, beta, channel, n)
-            with _quiet_tail_warnings() if quiet else _no_op():
-                return _state_rms(preset, a_tilde, beta, g)
+            if n <= 1:
+                return analytic_pt_state(a_tilde, beta, channel, n, grid=g)
+            potential = SechSquared(a_tilde, beta, channel.hbar2_over_2mu)
+            return solve_bound_state(potential, channel, target_nodes=n, grid=g)
         except DomainError as exc:
             raise ConvergenceError(f"state disappeared at beta={beta}: {exc}") from exc
+
+    def rms_at(beta: float) -> float:
+        # trial states skip the grid-edge tail check; the fitted state gets it
+        return _radius(state_at(beta), preset.coordinate_factor)
 
     iterations = 3
     rms_lo, rms_mid, rms_hi = rms_at(lo), rms_at(0.5 * (lo + hi)), rms_at(hi)
@@ -257,7 +222,7 @@ def fit_parameters(
             hi = mid
 
     beta = 0.5 * (lo + hi)
-    achieved_r = rms_at(beta, quiet=False)   # final state may warn (halo tails)
+    achieved_r = rms_radius(state_at(beta), preset.coordinate_factor)   # may warn (halo tails)
     a_tilde = a_tilde_from_energy(target_e, beta, channel, n)
     achieved_e = analytic_levels(a_tilde, beta, channel, n)
     result = FitResult(
@@ -274,11 +239,6 @@ def fit_parameters(
             f"fit finished with rms residual {result.rms_residual:.2e} fm > 1e-4 fm"
         )
     return result
-
-
-def fitted_preset(preset: SystemPreset, result: FitResult) -> SystemPreset:
-    """Preset with the canonical pair replaced by fitted parameters."""
-    return replace(preset, canonical_a_tilde=result.a_tilde, canonical_beta=result.beta)
 
 
 def load_preset_config(path) -> SystemPreset:

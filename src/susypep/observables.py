@@ -38,12 +38,8 @@ POTENTIAL_DEAD = 1e-6         # MeV, |V| below which the free form applies
 _COORDINATE_FACTORS = {"quarter": 0.25, "unit": 1.0}
 
 
-def rms_radius(state: BoundState, coordinate_factor: str = "unit") -> float:
-    """R = sqrt(f * int r^2 u^2 dr) with f = 1/4 or 1.
-
-    The quarter factor converts the relative n-p coordinate to the
-    center-of-mass frame of the two-cluster system.
-    """
+def _radius(state: BoundState, coordinate_factor: str) -> float:
+    """:func:`rms_radius` without its grid-edge tail check."""
     try:
         factor = _COORDINATE_FACTORS[coordinate_factor]
     except KeyError:
@@ -51,8 +47,18 @@ def rms_radius(state: BoundState, coordinate_factor: str = "unit") -> float:
             f"coordinate_factor must be one of {sorted(_COORDINATE_FACTORS)}"
         ) from None
     g = state.grid
-    moment = integrate(g.r**2 * state.u**2, g)
-    radius = math.sqrt(factor * moment)
+    return math.sqrt(factor * integrate(g.r**2 * state.u**2, g))
+
+
+def rms_radius(state: BoundState, coordinate_factor: str = "unit") -> float:
+    """R = sqrt(f * int r^2 u^2 dr) with f = 1/4 or 1.
+
+    The quarter factor converts the relative n-p coordinate to the
+    center-of-mass frame of the two-cluster system. Logs a warning when
+    the state's tail at r_max is large enough to truncate the integral.
+    """
+    radius = _radius(state, coordinate_factor)
+    g = state.grid
     tail = state.u[-1] ** 2 * g.r_max**3
     if tail > 1e-6 * radius**2:
         log.warning(

@@ -125,11 +125,6 @@ class Tabulated:
         if self.singular_coefficient < 0.0:
             raise DomainError("singular_coefficient must be >= 0")
 
-    @property
-    def ell_effective(self) -> float:
-        """l_eff with singular_coefficient = l_eff (l_eff + 1)."""
-        return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * self.singular_coefficient))
-
     def evaluate(self, r):
         arr = _check_positive_r(r)
         scalar = np.isscalar(r)
@@ -233,11 +228,6 @@ class SuperpotentialPair:
     def v2(self, r):
         a, b = self.a_strength, self.b_step
         return a * a - a * (a - b) * sech(self.beta * np.asarray(r, dtype=float)) ** 2
-
-
-def a_from_a_tilde(a_tilde: float, beta: float, channel: ChannelConstants) -> float:
-    """A = At * beta * sqrt(c); converts the dimensionless strength."""
-    return a_tilde * beta * math.sqrt(channel.hbar2_over_2mu)
 
 
 def depth_from_a(a_strength: float, beta: float, channel: ChannelConstants) -> float:

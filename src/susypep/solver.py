@@ -86,20 +86,29 @@ class RegularSolution:
         object.__setattr__(self, "u", arr)
 
 
+def _sign_changes(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the nonzero entries, and where the sign bit flips between neighbouring ones.
+
+    Comparing sign bits rather than the sign of u_i u_j cannot overflow or
+    underflow, so no crossing is lost at extreme amplitudes.
+    """
+    nonzero = arr != 0.0
+    negative = np.signbit(arr[nonzero])
+    return nonzero, negative[1:] != negative[:-1]
+
+
 def count_nodes(u) -> int:
     """Strict sign changes over the array (exact zeros are skipped)."""
-    arr = np.asarray(u, dtype=float)
-    negative = np.signbit(arr[arr != 0.0])
-    return int(np.count_nonzero(negative[1:] != negative[:-1]))
+    return int(np.count_nonzero(_sign_changes(np.asarray(u, dtype=float))[1]))
 
 
 def node_positions(u, grid: RadialGrid) -> np.ndarray:
     """Radii of interior zero crossings, linearly interpolated."""
     arr = np.asarray(u, dtype=float)
-    r = grid.r
-    s = arr[:-1] * arr[1:]
-    idx = np.nonzero(s < 0.0)[0]
-    return r[idx] - arr[idx] * grid.step / (arr[idx + 1] - arr[idx])
+    nonzero, flips = _sign_changes(arr)
+    idx = np.flatnonzero(nonzero)
+    i, j = idx[:-1][flips], idx[1:][flips]
+    return grid.r[i] - arr[i] * (grid.step * (j - i)) / (arr[j] - arr[i])
 
 
 def origin_power(potential: PotentialModel) -> float:

@@ -53,10 +53,17 @@ class SusyTransformRecord:
     """Provenance of one transformed potential."""
 
     source: PotentialModel
-    removed_energy: float
+    ground: BoundState            # the removed state of ``source``
     step_kind: str
     result: Tabulated
-    singular_coefficient: float
+
+    @property
+    def removed_energy(self) -> float:
+        return self.ground.energy
+
+    @property
+    def singular_coefficient(self) -> float:
+        return self.result.singular_coefficient
 
     def sidecar(self) -> dict:
         return {
@@ -201,20 +208,8 @@ def remove_lowest(
     ground = solve_bound_state(source, channel, target_nodes=0, grid=grid)
     v2 = build_intermediate(source, ground, channel)
     v3 = build_pep(source, ground, channel)
-    rec2 = SusyTransformRecord(
-        source=source,
-        removed_energy=ground.energy,
-        step_kind=INTERMEDIATE,
-        result=v2,
-        singular_coefficient=v2.singular_coefficient,
-    )
-    rec3 = SusyTransformRecord(
-        source=source,
-        removed_energy=ground.energy,
-        step_kind=PHASE_EQUIVALENT,
-        result=v3,
-        singular_coefficient=v3.singular_coefficient,
-    )
+    rec2 = SusyTransformRecord(source, ground, INTERMEDIATE, v2)
+    rec3 = SusyTransformRecord(source, ground, PHASE_EQUIVALENT, v3)
     return rec2, rec3
 
 

@@ -1,82 +1,21 @@
 """Shared fixtures: system chains are expensive, so build them once per session."""
-from dataclasses import dataclass
-
 import pytest
 
-from susypep import (
-    BoundState,
-    ChannelConstants,
-    RadialGrid,
-    SechSquared,
-    SusyTransformRecord,
-    SystemPreset,
-    default_grid,
-    fit_parameters,
-    get_preset,
-    remove_lowest,
-    solve_bound_state,
-)
-
-
-@dataclass(frozen=True)
-class Chain:
-    """Deep potential, its partners, and the states the tests compare."""
-
-    preset: SystemPreset
-    channel: ChannelConstants
-    grid: RadialGrid
-    potential: SechSquared
-    ground: BoundState            # removed (lowest) state of the deep potential
-    physical: BoundState          # retained physical state of the deep potential
-    rec2: SusyTransformRecord
-    rec3: SusyTransformRecord
-    v2_state: BoundState          # lowest state of the intermediate potential
-    v3_state: BoundState          # lowest state of the phase-equivalent potential
-
-
-def build_chain(preset, a_tilde, beta, grid) -> Chain:
-    channel = preset.channel
-    potential = SechSquared(a_tilde, beta, channel.hbar2_over_2mu)
-    ground = solve_bound_state(potential, channel, target_nodes=0, grid=grid)
-    physical = solve_bound_state(
-        potential, channel, target_nodes=preset.physical_node_count, grid=grid
-    )
-    rec2, rec3 = remove_lowest(potential, channel, grid=grid)
-    v2_state = solve_bound_state(rec2.result, channel, target_nodes=0, grid=grid)
-    v3_state = solve_bound_state(rec3.result, channel, target_nodes=0, grid=grid)
-    return Chain(
-        preset=preset,
-        channel=channel,
-        grid=grid,
-        potential=potential,
-        ground=ground,
-        physical=physical,
-        rec2=rec2,
-        rec3=rec3,
-        v2_state=v2_state,
-        v3_state=v3_state,
-    )
+from susypep import ChainResult, analyze, default_grid, get_preset
 
 
 @pytest.fixture(scope="session")
-def deuteron_chain() -> Chain:
-    preset = get_preset("deuteron")
-    return build_chain(preset, preset.canonical_a_tilde, preset.canonical_beta, default_grid())
+def deuteron_chain() -> ChainResult:
+    return analyze(get_preset("deuteron"), default_grid())
 
 
 @pytest.fixture(scope="session")
-def be11_fit():
-    return fit_parameters(get_preset("be11"), grid=default_grid())
+def be11_chain() -> ChainResult:
+    """Fitted parameters (be11 has no canonical pair); the fit is ``be11_chain.fit``."""
+    return analyze(get_preset("be11"), default_grid())
 
 
 @pytest.fixture(scope="session")
-def be11_chain(be11_fit) -> Chain:
-    preset = get_preset("be11")
-    return build_chain(preset, be11_fit.a_tilde, be11_fit.beta, default_grid())
-
-
-@pytest.fixture(scope="session")
-def alpha_chain() -> Chain:
+def alpha_chain() -> ChainResult:
     """First removal of the alpha-alpha chain; the physical state is n=2."""
-    preset = get_preset("alpha")
-    return build_chain(preset, preset.canonical_a_tilde, preset.canonical_beta, default_grid())
+    return analyze(get_preset("alpha"), default_grid())

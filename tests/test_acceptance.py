@@ -17,6 +17,7 @@ from susypep import (
     analytic_depth,
     analytic_levels,
     analytic_pt_state,
+    analyze,
     build_pep_via_intermediate,
     count_bound_states,
     default_grid,
@@ -31,7 +32,6 @@ from susypep import (
     zero_range_strength,
     cross_section_ratio,
 )
-from conftest import build_chain
 
 SWEEP = 0.1 + 0.1 * np.arange(0, 200)     # 0.1 .. 20.0 MeV in 0.1 steps
 
@@ -181,8 +181,8 @@ def test_criterion_07_alpha_depth_and_chain(alpha_chain):
     assert all(checks)
 
 
-def test_criterion_08_be11(be11_fit, be11_chain):
-    preset = be11_chain.preset
+def test_criterion_08_be11(be11_chain):
+    preset, fit = be11_chain.preset, be11_chain.fit
     factor = preset.coordinate_factor
     deep = rms_radius(be11_chain.physical, factor)
     intermediate = rms_radius(be11_chain.v2_state, factor)
@@ -190,25 +190,25 @@ def test_criterion_08_be11(be11_fit, be11_chain):
     pep_rel = abs(pep - deep) / deep
     mid_rel = abs(intermediate - deep) / deep
     checks = [
-        abs(be11_fit.achieved_energy - (-0.503)) < 1e-6,
-        abs(be11_fit.achieved_rms - 6.70) < 1e-4,
+        abs(fit.achieved_energy - (-0.503)) < 1e-6,
+        abs(fit.achieved_rms - 6.70) < 1e-4,
         pep_rel < 0.02,
         mid_rel > 0.05,
     ]
     report(
         8,
         all(checks),
-        f"be11: fit E {be11_fit.achieved_energy:.6f} MeV, rms {be11_fit.achieved_rms:.4f} fm; "
+        f"be11: fit E {fit.achieved_energy:.6f} MeV, rms {fit.achieved_rms:.4f} fm; "
         f"radii deep/intermediate/pep = {deep:.3f}/{intermediate:.3f}/{pep:.3f} fm "
         f"(pep off by {100 * pep_rel:.2f}% < 2%, intermediate by {100 * mid_rel:.2f}% > 5%)",
     )
     assert all(checks)
 
 
-def test_criterion_09a_eigenvalue_oracle(be11_fit):
+def test_criterion_09a_eigenvalue_oracle(be11_chain):
     systems = [
         ("deuteron", 3.146, 1.587, ChannelConstants(41.47, "n-p"), (0, 1)),
-        ("be11", be11_fit.a_tilde, be11_fit.beta, ChannelConstants(22.81, "n-Be10"), (0, 1)),
+        ("be11", be11_chain.a_tilde, be11_chain.beta, ChannelConstants(22.81, "n-Be10"), (0, 1)),
         ("alpha", 5.945, 0.535, ChannelConstants(10.375, "alpha-alpha"), (0, 1, 2)),
     ]
     # the be11 halo state decays with kappa ~ 0.15/fm; the solver-vs-formula
@@ -233,7 +233,7 @@ def test_criterion_09a_eigenvalue_oracle(be11_fit):
 def test_criterion_09b_pep_construction_cross_check():
     grid = RadialGrid.from_extent(0.0025, 35.0)
     channel = ChannelConstants(41.47, "n-p")
-    chain = build_chain(get_preset("deuteron"), 3.146, 1.587, grid)
+    chain = analyze(get_preset("deuteron"), grid)
     alt = build_pep_via_intermediate(
         chain.potential, chain.ground, channel, intermediate=chain.rec2.result
     )

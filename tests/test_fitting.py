@@ -61,13 +61,19 @@ def test_deuteron_fit_recovers_reference_pair():
     assert abs(result.rms_residual) < 1e-4
 
 
-def test_be11_fit_satisfies_both_constraints(be11_fit):
-    preset = get_preset("be11")
-    assert be11_fit.achieved_energy == pytest.approx(preset.target_energy, abs=1e-6)
-    assert be11_fit.achieved_rms == pytest.approx(preset.target_rms, abs=1e-4)
+def test_be11_fit_checks_only_the_fitted_state_for_a_truncated_tail(caplog):
+    with caplog.at_level(logging.WARNING, logger="susypep.observables"):
+        fit_parameters(get_preset("be11"), grid=default_grid())
+    assert sum("tail truncation" in rec.getMessage() for rec in caplog.records) == 1
+
+
+def test_be11_fit_satisfies_both_constraints(be11_chain):
+    preset, fit = be11_chain.preset, be11_chain.fit
+    assert fit.achieved_energy == pytest.approx(preset.target_energy, abs=1e-6)
+    assert fit.achieved_rms == pytest.approx(preset.target_rms, abs=1e-4)
     # the quoted pair is inconsistent with the level formula; the refit keeps
     # beta and corrects the strength
-    assert be11_fit.beta == pytest.approx(0.694, abs=5e-3)
+    assert fit.beta == pytest.approx(0.694, abs=5e-3)
     implied = analytic_levels(3.124, 0.694, preset.channel, 1)
     assert implied == pytest.approx(-0.17, abs=0.02)
     assert abs(implied - preset.target_energy) > 0.3

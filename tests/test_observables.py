@@ -288,14 +288,12 @@ def test_strength_integral_identity(deuteron_chain):
 
 
 def test_strength_quadrature_convergence():
-    from conftest import build_chain
-    from susypep import get_preset
+    from susypep import analyze, get_preset
 
     preset = get_preset("deuteron")
     values = {}
     for step in (0.01, 0.005):
-        grid = RadialGrid.from_extent(step, 35.0)
-        chain = build_chain(preset, 3.146, 1.587, grid)
+        chain = analyze(preset, RadialGrid.from_extent(step, 35.0))
         values[step] = zero_range_strength(chain.potential, chain.physical).d0
     assert values[0.01] == pytest.approx(values[0.005], rel=1e-3)
 

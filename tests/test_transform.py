@@ -4,12 +4,9 @@ import pytest
 from susypep import (
     ChannelConstants,
     DomainError,
-    RadialGrid,
     SechSquared,
     analytic_levels,
     build_intermediate,
-    build_pep,
-    build_pep_via_intermediate,
     count_bound_states,
     iterate_removals,
     remove_lowest,
@@ -126,30 +123,6 @@ def test_tail_coincidence_of_wave_functions(deuteron_chain):
     assert np.max(diff) < 1e-3
 
 
-# --- regular-solution route cross-check ----------------------------------------------
-
-def test_pep_via_intermediate_agrees_pointwise():
-    # both construction routes converge to the same potential; the comparison
-    # runs on a fine grid where each route's O(h^4) error is subdominant
-    grid = RadialGrid.from_extent(0.0025, 35.0)
-    chain = build_chain_fine(grid)
-    v3_integral = chain["v3"]
-    v3_regular = build_pep_via_intermediate(
-        chain["potential"], chain["ground"], CH_D, intermediate=chain["v2"]
-    )
-    window = (grid.r >= 0.1) & (grid.r <= 10.0)
-    diff = np.abs(np.asarray(v3_regular.values)[window] - np.asarray(v3_integral.values)[window])
-    assert np.max(diff) < 1e-3
-
-
-def build_chain_fine(grid):
-    potential = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
-    ground = solve_bound_state(potential, CH_D, target_nodes=0, grid=grid)
-    v2 = build_intermediate(potential, ground, CH_D)
-    v3 = build_pep(potential, ground, CH_D)
-    return {"potential": potential, "ground": ground, "v2": v2, "v3": v3}
-
-
 def test_log_integral_curvature_against_finite_differences(deuteron_chain):
     # (ln I)'' from the analytic identity vs central differences of ln I
     ground = deuteron_chain.ground
@@ -192,8 +165,8 @@ def test_remove_lowest_records(deuteron_chain):
     assert rec2.sidecar()["singular_coefficient"] == pytest.approx(2.0)
 
 
-def test_remove_lowest_on_be11_removes_analytic_ground(be11_chain, be11_fit):
-    expected = analytic_levels(be11_fit.a_tilde, be11_fit.beta, be11_chain.channel, 0)
+def test_remove_lowest_on_be11_removes_analytic_ground(be11_chain):
+    expected = analytic_levels(be11_chain.a_tilde, be11_chain.beta, be11_chain.channel, 0)
     assert be11_chain.rec2.removed_energy == pytest.approx(expected, rel=1e-6)
 
 
