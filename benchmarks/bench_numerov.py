@@ -7,7 +7,8 @@ Two views:
   * end-to-end -- two bound-state solves plus a 200-point phase-shift
     curve (``phase_shift_curve``, as the CLI computes it), run in
     subprocesses so the import-time backend selection is exercised
-    (SUSYPEP_PURE_PYTHON=1 forces the fallback). The fallback sweeps the
+    (SUSYPEP_PURE_PYTHON=1 forces the fallback). The solves also report
+    their Numerov steps per solve in grid lengths. The fallback sweeps the
     curve's energies together in numpy; the compiled backend sweeps them
     one by one.
 
@@ -36,22 +37,37 @@ import time
 import numpy as np
 from susypep import (ChannelConstants, SechSquared, default_grid, phase_shift_curve,
                      solve_bound_state)
+from susypep import solver
 from susypep._kernels import BACKEND
 
 channel = ChannelConstants(41.47, "n-p")
 potential = SechSquared(3.146, 1.587, channel.hbar2_over_2mu)
 grid = default_grid()
 
+steps = 0
+def counted(sweep):
+    def run(*args):
+        global steps
+        u, log_scale = sweep(*args)
+        steps += len(u) - 2
+        return u, log_scale
+    return run
+
+# the solver's sweeps only; the curve below uses the batched sweep
+solver._kernels.sweep_outward = counted(solver._kernels.sweep_outward)
+solver._kernels.sweep_inward = counted(solver._kernels.sweep_inward)
+
 start = time.perf_counter()
 solve_bound_state(potential, channel, target_nodes=0, grid=grid)
 solve_bound_state(potential, channel, target_nodes=1, grid=grid)
 t_solve = time.perf_counter() - start
+lengths = steps / grid.n_points / 2.0
 
 start = time.perf_counter()
 phase_shift_curve(potential, channel, 0.1 + 0.1 * np.arange(200), grid=grid)
 t_phase = time.perf_counter() - start
 
-print(f"{BACKEND} {t_solve:.4f} {t_phase:.4f}")
+print(f"{BACKEND} {t_solve:.4f} {lengths:.2f} {t_phase:.4f}")
 """
 
 
@@ -80,8 +96,8 @@ def bench_end_to_end(pure_python):
         [sys.executable, "-c", _END_TO_END], env=env, capture_output=True, text=True,
         check=True,
     )
-    backend, t_solve, t_phase = out.stdout.split()
-    return backend, float(t_solve), float(t_phase)
+    backend, t_solve, lengths, t_phase = out.stdout.split()
+    return backend, float(t_solve), float(lengths), float(t_phase)
 
 
 def main():
@@ -103,11 +119,12 @@ def main():
     print("\nend-to-end (subprocess per backend): two bound solves + 200-point phase curve")
     for pure in (False, True):
         try:
-            backend, t_solve, t_phase = bench_end_to_end(pure)
+            backend, t_solve, lengths, t_phase = bench_end_to_end(pure)
         except subprocess.CalledProcessError as exc:
             print(f"  run failed: {exc.stderr.strip()}")
             continue
-        print(f"  {backend:7s} solves {t_solve * 1e3:8.1f} ms   phase curve {t_phase * 1e3:8.1f} ms")
+        print(f"  {backend:7s} solves {t_solve * 1e3:8.1f} ms ({lengths:.1f} grid lengths of "
+              f"Numerov steps per solve)   phase curve {t_phase * 1e3:8.1f} ms")
 
 
 if __name__ == "__main__":

@@ -55,15 +55,18 @@ def rms_radius(state: BoundState, coordinate_factor: str = "unit") -> float:
 
     The quarter factor converts the relative n-p coordinate to the
     center-of-mass frame of the two-cluster system. Logs a warning when
-    the state's tail at r_max is large enough to truncate the integral.
+    the closed-form tail u(r_max) exp(-kappa (r - r_max)) beyond the grid
+    would add more than 1e-4 of the r^2 u^2 integral on it.
     """
     radius = _radius(state, coordinate_factor)
-    g = state.grid
-    tail = state.u[-1] ** 2 * g.r_max**3
-    if tail > 1e-6 * radius**2:
+    g, k = state.grid, state.kappa
+    tail = state.u[-1] ** 2 * (g.r_max**2 / (2.0 * k) + g.r_max / (2.0 * k**2) + 1.0 / (4.0 * k**3))
+    share = tail / integrate(g.r**2 * state.u**2, g)
+    if share > 1e-4:
         log.warning(
-            "rms tail truncation: u(r_max)^2 r_max^3 = %.3g exceeds 1e-6 R^2; "
-            "the grid may be too short for this halo state", tail
+            "rms tail truncation: the exponential tail beyond r_max would add %.3g "
+            "of the r^2 u^2 integral (over 1e-4); the grid may be too short for "
+            "this halo state", share
         )
     return radius
 

@@ -2,10 +2,14 @@
 
 The radial equation is integrated as u'' = f(r) u with
 f = (V - E) / (hbar^2/2mu) using Numerov sweeps (see ``_kernels``).
-Eigenvalues are located by bisection: interior node counts of the outward
-sweep bracket the requested quantum number, and the final state is
-assembled from an outward sweep up to the outermost classical turning
-point matched against an inward sweep seeded with the exp(-kappa r) tail.
+Eigenvalues are found in two stages. Bisection on the interior node count
+of the outward sweep narrows the energy bracket until it holds only the
+requested state; Cooley's energy correction, from an outward sweep and a
+Dirichlet inward sweep matched at the outermost classical turning point,
+then converges quadratically to that eigenvalue of the r_max-truncated
+problem. A correction that leaves the bracket is replaced by one more
+bisection step. The final state is assembled from the same matched pair,
+with the inward sweep seeded by the exp(-kappa r) tail.
 
 Near the origin every sweep is started from the Frobenius series
 u = r^p (1 + a2 r^2 + a4 r^4), p = 1 + l_eff, which keeps the start error
@@ -35,8 +39,8 @@ from .potentials import (
 
 log = logging.getLogger(__name__)
 
-ENERGY_TOL = 1e-8           # MeV, bisection bracket width at termination
-MAX_BISECTIONS = 300
+ENERGY_TOL = 1e-8           # MeV, last correction or bracket width at termination
+MAX_BISECTIONS = 300        # bisection and correction steps together
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,60 @@ def _outward_node_count(f: np.ndarray, p: float, grid: RadialGrid) -> int:
     return count_nodes(u)
 
 
+def _matched_pieces(f: np.ndarray, p: float, grid: RadialGrid, u_last: float,
+                    u_second_last: float):
+    """Outward and inward sweeps that meet at the outermost classical turning point m.
+
+    The outward sweep starts from the origin series and runs to m + 1; the
+    inward one starts from (u_last, u_second_last) at r_max and runs down
+    to m - 1. Returns (m, uo, ui) with uo[i] = u_i for i <= m + 1 and
+    ui[j] = u_{m-1+j}, each at its own sweep's scale, or None when either
+    sweep vanishes at m.
+    """
+    n = grid.n_points
+    allowed = np.nonzero(f < 0.0)[0]
+    m = int(allowed[-1]) if allowed.size else n // 2
+    m = min(max(m, 2), n - 3)
+    u1, u2 = _series_start(f, p, grid)
+    uo, _ = _kernels.sweep_outward(f, grid.step, u1, u2, m + 1)
+    ui, _ = _kernels.sweep_inward(f, grid.step, u_last, u_second_last, m - 1)
+    if ui[1] == 0.0 or uo[m] == 0.0:
+        return None
+    return m, uo, ui
+
+
+def _cooley_energy(v: np.ndarray, energy: float, c: float, p: float, grid: RadialGrid) -> float:
+    """``energy`` after one Cooley correction (Math. Comp. 15, 363 (1961)).
+
+    The pieces come from :func:`_matched_pieces` with the Dirichlet seed
+    u(r_max) = 0, so the correction converges to the eigenvalue of the
+    r_max-truncated problem, the energy where the outward node count steps.
+    With Y = (1 - h^2 f / 12) u and u_m = 1 the Numerov mismatch at m is
+    D = (Y_{m-1} - 2 Y_m + Y_{m+1}) / h^2 - f_m, and Cooley's Newton step
+    is dE = -c D / sum(u^2). It is applied to kappa = sqrt(-E / c), as
+    dkappa = D / (2 kappa sum(u^2)): E is far from linear in the mismatch
+    near threshold, and the step taken in E from a wide bracket's midpoint
+    overshoots into the continuum. Returns nan when a piece vanishes at m
+    (or is so small there that sum(u^2) overflows), or when the step
+    would make kappa negative.
+    """
+    f = (v - energy) / c
+    pieces = _matched_pieces(f, p, grid, 0.0, 1.0)
+    if pieces is None:
+        return math.nan
+    m, uo, ui = pieces
+    uo, ui = uo / uo[m], ui / ui[1]
+    h = grid.step
+    y = (1.0 - h * h / 12.0 * f[m - 1:m + 2]) * np.array([uo[m - 1], 1.0, ui[2]])
+    mismatch = (y[0] - 2.0 * y[1] + y[2]) / (h * h) - f[m]
+    norm = np.dot(uo[:m + 1], uo[:m + 1]) + np.dot(ui[2:], ui[2:])
+    if not norm < math.inf:
+        return math.nan
+    kappa = math.sqrt(-energy / c)
+    kappa_new = kappa + mismatch / (2.0 * kappa * norm)
+    return -c * kappa_new**2 if kappa_new > 0.0 else math.nan
+
+
 def solve_bound_state(
     potential: PotentialModel,
     channel: ChannelConstants,
@@ -219,10 +277,16 @@ def solve_bound_state(
 ) -> BoundState:
     """Find the bound state with the requested interior node count.
 
-    Bisection on the interior node count of the outward sweep; the count
-    steps by one exactly at each eigenvalue of the r_max-truncated problem,
-    so the bracket converges to the eigenvalue itself. The returned state
-    is assembled from matched outward/inward sweeps and normalized.
+    The interior node count of the outward sweep steps by one exactly at
+    each eigenvalue of the r_max-truncated problem. Bisection on that count
+    runs only until the bracket holds the requested state alone (counts
+    target and target + 1 at its ends). Cooley corrections from the bracket
+    midpoint then converge to the eigenvalue; one that leaves the bracket
+    is replaced by a bisection step. The search stops when a correction
+    moves the energy by less than ENERGY_TOL or the bracket is narrower
+    than that, and raises ConvergenceError after MAX_BISECTIONS steps. The
+    returned state is assembled from matched outward/inward sweeps and
+    normalized.
     """
     if target_nodes < 0:
         raise DomainError(f"target_nodes must be >= 0, got {target_nodes}")
@@ -231,7 +295,6 @@ def solve_bound_state(
     v = values_on_grid(potential, g)
     p = origin_power(potential)
     h = g.step
-    n = g.n_points
 
     elo, ehi = energy_bracket if energy_bracket is not None else default_energy_bracket(
         potential, channel, g
@@ -247,34 +310,38 @@ def solve_bound_state(
             f"state: node counts at ends are {count_lo} and {count_hi}"
         )
 
+    energy = None   # latest accepted Cooley iterate
     for _ in range(MAX_BISECTIONS):
         em = 0.5 * (elo + ehi)
         if em == elo or em == ehi or (ehi - elo) < ENERGY_TOL:
+            energy = em
             break
-        if _outward_node_count((v - em) / c, p, g) > target_nodes:
-            ehi = em
+        if count_lo == target_nodes and count_hi == target_nodes + 1:
+            start = em if energy is None else energy
+            corrected = _cooley_energy(v, start, c, p, g)
+            if elo < corrected < ehi:
+                energy = corrected
+                if abs(corrected - start) < ENERGY_TOL:
+                    break
+                continue
+        count = _outward_node_count((v - em) / c, p, g)
+        if count > target_nodes:
+            ehi, count_hi = em, count
         else:
-            elo = em
+            elo, count_lo = em, count
+        energy = None
     else:
         raise ConvergenceError(
-            f"eigenvalue search did not reach {ENERGY_TOL} MeV within {MAX_BISECTIONS} bisections"
+            f"eigenvalue search did not reach {ENERGY_TOL} MeV within {MAX_BISECTIONS} steps"
         )
 
-    energy = 0.5 * (elo + ehi)
     f = (v - energy) / c
-
-    allowed = np.nonzero(f < 0.0)[0]
-    m = int(allowed[-1]) if allowed.size else n // 2
-    m = min(max(m, 2), n - 3)
-
-    u1, u2 = _series_start(f, p, g)
-    uo, _ = _kernels.sweep_outward(f, h, u1, u2, m + 1)
     kappa = math.sqrt(-energy / c)
-    ui, _ = _kernels.sweep_inward(f, h, 1.0, math.exp(kappa * h), m - 1)
-    if ui[1] == 0.0 or uo[m] == 0.0:
+    pieces = _matched_pieces(f, p, g, 1.0, math.exp(kappa * h))
+    if pieces is None:
         raise ConvergenceError("vanishing amplitude at the matching point")
-    ui = ui * (uo[m] / ui[1])
-    u = np.concatenate([uo[:m], ui[1:]])
+    m, uo, ui = pieces
+    u = np.concatenate([uo[:m], ui[1:] * (uo[m] / ui[1])])
 
     norm = math.sqrt(integrate(u * u, g))
     u /= norm

@@ -73,6 +73,14 @@ def test_rms_tail_truncation_warns(caplog):
     assert any("grid may be too short" in rec.message for rec in caplog.records)
 
 
+def test_converged_deuteron_states_log_no_tail_warning(deuteron_chain, caplog):
+    # the closed-form tail beyond 35 fm holds about 1.4e-5 of their r^2 u^2 integral
+    with caplog.at_level(logging.WARNING, logger="susypep.observables"):
+        rms_radius(deuteron_chain.physical, "quarter")
+        rms_radius(deuteron_chain.v3_state, "quarter")
+    assert not caplog.records
+
+
 def test_charge_radius_formula():
     assert charge_radius(0.0, 2.0) == pytest.approx(1.0)
     assert charge_radius(1.4, 0.0) == pytest.approx(1.4 / math.sqrt(2.0))

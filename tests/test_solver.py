@@ -23,7 +23,9 @@ from susypep import (
     solve_at_energy,
     solve_bound_state,
 )
-from susypep.solver import numerov_first_derivative
+from susypep import analyze, get_preset, solver
+from susypep.potentials import values_on_grid
+from susypep.solver import _outward_node_count, numerov_first_derivative, origin_power
 
 CH_D = ChannelConstants(41.47, "n-p")
 CH_A = ChannelConstants(10.375, "alpha-alpha")
@@ -129,6 +131,65 @@ def test_explicit_bracket_is_honored():
     with pytest.raises(BracketError):
         # bracket around the ground state cannot hold the one-node state
         solve_bound_state(pot, CH_D, target_nodes=1, energy_bracket=(-500.0, -100.0))
+
+
+CHAINS = ("deuteron_chain", "be11_chain", "alpha_chain")
+
+
+def _chain_problems(chain):
+    """(potential, target nodes) of every chain state: each V1 level, then V2 and V3."""
+    levels = [(chain.potential, n) for n in range(chain.preset.physical_node_count + 1)]
+    return levels + [(chain.rec2.result, 0), (chain.rec3.result, 0)]
+
+
+def _assert_lands_on_count_step(chain):
+    g, ch = chain.grid, chain.channel
+    for pot, n in _chain_problems(chain):
+        energy = solve_bound_state(pot, ch, n, grid=g).energy
+        v, p, c = values_on_grid(pot, g), origin_power(pot), ch.hbar2_over_2mu
+        assert _outward_node_count((v - (energy - 1e-8)) / c, p, g) == n
+        assert _outward_node_count((v - (energy + 1e-8)) / c, p, g) == n + 1
+
+
+@pytest.mark.parametrize("chain_name", CHAINS)
+def test_solve_lands_on_the_node_count_step(chain_name, request):
+    # the corrections must find the root that node-count bisection brackets
+    _assert_lands_on_count_step(request.getfixturevalue(chain_name))
+
+
+def test_solve_lands_on_the_node_count_step_for_be11_on_a_long_grid():
+    _assert_lands_on_count_step(analyze(get_preset("be11"), RadialGrid.from_extent(0.01, 60.0)))
+
+
+@pytest.mark.parametrize("chain_name", CHAINS)
+def test_solve_sweeps_at_most_sixteen_grid_lengths(chain_name, request, monkeypatch):
+    chain = request.getfixturevalue(chain_name)
+    steps = [0]
+
+    def counted(sweep):
+        def run(*args):
+            u, log_scale = sweep(*args)
+            steps[0] += len(u) - 2
+            return u, log_scale
+        return run
+
+    for name in ("sweep_outward", "sweep_inward"):
+        monkeypatch.setattr(solver._kernels, name, counted(getattr(solver._kernels, name)))
+    for pot, n in _chain_problems(chain):
+        steps[0] = 0
+        solve_bound_state(pot, chain.channel, n, grid=chain.grid)
+        assert steps[0] <= 16 * chain.grid.n_points, (pot, n)
+
+
+@pytest.mark.parametrize("rejected", [0.0, math.nan])
+def test_rejected_corrections_fall_back_to_bisection(deuteron_chain, rejected, monkeypatch):
+    # 0 MeV lies above every bracket, nan stands for a vanishing amplitude at the match
+    chain = deuteron_chain
+    cases = [(chain.potential, 1, chain.physical), (chain.rec3.result, 0, chain.v3_state)]
+    monkeypatch.setattr(solver, "_cooley_energy", lambda *args: rejected)
+    for pot, nodes, state in cases:
+        got = solve_bound_state(pot, chain.channel, nodes, grid=chain.grid)
+        assert got.energy == pytest.approx(state.energy, abs=1e-8)
 
 
 def test_channel_mismatch_rejected():
