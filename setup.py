@@ -1,20 +1,15 @@
-import os
-
+import numpy
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("SUSYPEP_NO_EXTENSION") != "1":
-    try:
-        from Cython.Build import cythonize
+# optional: without a working C compiler the pure-Python kernel is installed.
+# -ffp-contract=off keeps multiply-adds unfused, so the compiled sweeps stay
+# bit-identical to the numpy/Python fallback on every architecture.
+kernel = Extension(
+    "susypep._kernels._numerov_cy",
+    ["src/susypep/_kernels/_numerov_cy.c"],
+    include_dirs=[numpy.get_include()],
+    extra_compile_args=["-O3", "-ffp-contract=off"],
+    optional=True,
+)
 
-        ext = Extension(
-            "susypep._kernels._numerov_cy",
-            ["src/susypep/_kernels/_numerov_cy.pyx"],
-            extra_compile_args=["-O3"],
-        )
-        ext_modules = cythonize(ext, compiler_directives={"language_level": "3"})
-    except ImportError:
-        # No Cython available: install the pure-Python package only.
-        pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[kernel])

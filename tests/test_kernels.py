@@ -1,5 +1,12 @@
 """Backend parity and correctness of the raw Numerov sweeps."""
+import importlib.util
 import math
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +22,7 @@ except ImportError:
 needs_compiled = pytest.mark.skipif(
     _numerov_cy is None, reason="compiled kernel not available"
 )
+_REPO = Path(__file__).resolve().parents[1]
 
 
 def _free_particle_f(k, n, h):
@@ -54,43 +62,84 @@ def test_outward_rescales_instead_of_overflowing():
     assert np.max(np.abs(u)) <= 1e250
 
 
+# (sweep, f, h, first seed value, second seed value, stop)
+_RANDOM_F = np.random.default_rng(7).normal(scale=5.0, size=3000)
+_PLAIN_SWEEPS = [
+    ("sweep_outward", _RANDOM_F, 0.01, 0.01, 0.021, 2999),
+    ("sweep_inward", _RANDOM_F, 0.01, 1.0, 1.01, 5),
+]
+# u grows like exp(30 r) in the direction of the sweep, so both rescale
+_STIFF_F = np.full(12000, 900.0)
+_RESCALED_SWEEPS = [
+    ("sweep_outward", _STIFF_F, 0.01, 1.0, math.exp(0.3), 11999),
+    ("sweep_inward", _STIFF_F, 0.01, 1.0, math.exp(0.3), 0),
+]
+
+
+def _assert_bit_identical(impl, sweeps):
+    """Each sweep of ``impl`` equals the fallback's bit for bit; returns the log scales."""
+    scales = []
+    for name, f, h, u_a, u_b, stop in sweeps:
+        u_ref, s_ref = getattr(_numerov_py, name)(f, h, u_a, u_b, stop)
+        u, s = getattr(impl, name)(f, h, u_a, u_b, stop)
+        assert np.array_equal(u, u_ref) and s == s_ref, name
+        scales.append(s)
+    return scales
+
+
 @needs_compiled
 def test_backends_agree_exactly():
-    rng = np.random.default_rng(7)
-    n, h = 3000, 0.01
-    f = rng.normal(scale=5.0, size=n)
-    u_py, s_py = _numerov_py.sweep_outward(f, h, 0.01, 0.021, n - 1)
-    u_cy, s_cy = _numerov_cy.sweep_outward(f, h, 0.01, 0.021, n - 1)
-    assert s_py == s_cy
-    np.testing.assert_allclose(u_cy, u_py, rtol=1e-13, atol=0.0)
-
-    u_py, s_py = _numerov_py.sweep_inward(f, h, 1.0, 1.01, 5)
-    u_cy, s_cy = _numerov_cy.sweep_inward(f, h, 1.0, 1.01, 5)
-    assert s_py == s_cy
-    np.testing.assert_allclose(u_cy, u_py, rtol=1e-13, atol=0.0)
+    _assert_bit_identical(_numerov_cy, _PLAIN_SWEEPS)
 
 
 @needs_compiled
 def test_backends_agree_on_rescaled_sweep():
-    h, n = 0.01, 12000
-    f = np.full(n, 900.0)
-    u_py, s_py = _numerov_py.sweep_outward(f, h, 1.0, math.exp(30.0 * h), n - 1)
-    u_cy, s_cy = _numerov_cy.sweep_outward(f, h, 1.0, math.exp(30.0 * h), n - 1)
-    assert s_py == pytest.approx(s_cy, rel=1e-15)
-    np.testing.assert_allclose(u_cy, u_py, rtol=1e-12, atol=1e-300)
+    assert min(_assert_bit_identical(_numerov_cy, _RESCALED_SWEEPS)) > 0.0
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "name, stop", [("sweep_outward", 0), ("sweep_outward", 12), ("sweep_inward", -1), ("sweep_inward", 11)]
+)
+def test_compiled_sweep_rejects_stop_outside_the_grid(name, stop):
+    with pytest.raises(ValueError, match="out of range"):
+        getattr(_numerov_cy, name)(np.zeros(12), 0.01, 1.0, 1.0, stop)
+
+
+def test_extension_builds_from_setup_py(tmp_path):
+    """A clean checkout compiles the C kernel, and the result matches the fallback."""
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) on PATH")
+    done = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp_path / "lib"),
+         "--build-temp", str(tmp_path / "tmp")],
+        cwd=_REPO, capture_output=True, text=True,
+    )
+    built = list((tmp_path / "lib" / "susypep" / "_kernels").glob("_numerov_cy*"))
+    assert done.returncode == 0 and len(built) == 1, done.stdout + done.stderr
+    spec = importlib.util.spec_from_file_location("_numerov_cy", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    _assert_bit_identical(module, _PLAIN_SWEEPS + _RESCALED_SWEEPS)
 
 
 def test_backend_name_is_reported():
     assert BACKEND in ("cython", "python")
 
 
-def test_batched_outward_sweep_equals_scalar_sweeps():
+def _barrier_case():
     # a well, a barrier that forces one rescale at some energies, and a free tail
     h, n, c, mid = 0.01, 2500, 41.47, 2200
     r = h * np.arange(1, n + 1)
     v = np.where(r < 2.0, -60.0, 0.0) + np.where((r > 3.0) & (r < 16.0), 1e5, 0.0)
     energies = np.array([0.3, 1.0, 4.0, 12.5, 2e5])
     u0, u1 = r[0] * np.ones(5), r[1] * np.linspace(1.0, 1.1, 5)
+    return v, energies, c, h, u0, u1, mid
+
+
+def test_batched_outward_sweep_equals_scalar_sweeps():
+    v, energies, c, h, u0, u1, mid = _barrier_case()
     rows, log_scale = _numerov_py.sweep_outward_batch(v, energies, c, h, u0, u1, mid)
     assert log_scale[0] > 0.0 and log_scale[-1] == 0.0
     for j, energy in enumerate(energies):
@@ -103,6 +152,15 @@ def test_batched_outward_sweep_equals_scalar_sweeps():
                 v, energies[j:j + 1], c, h, u0[j:j + 1], u1[j:j + 1], mid
             )
             assert np.array_equal(one[:, 0], rows[:, j]) and one_scale[0] == scale
+
+
+@needs_compiled
+def test_batched_outward_sweep_equals_compiled_sweeps():
+    v, energies, c, h, u0, u1, mid = _barrier_case()
+    rows, log_scale = _numerov_py.sweep_outward_batch(v, energies, c, h, u0, u1, mid)
+    for j, energy in enumerate(energies):
+        u, scale = _numerov_cy.sweep_outward((v - energy) / c, h, u0[j], u1[j], mid + 1)
+        assert np.array_equal(rows[:, j], u[mid - 1:mid + 2]) and scale == log_scale[j]
 
 
 _B = _numerov_py._BLOCK
