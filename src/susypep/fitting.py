@@ -5,27 +5,33 @@ strength follows from the energy target exactly,
 
     a_tilde(beta) = 2n + 1 + sqrt(-E 2mu/hbar^2) / beta,
 
-so only the rms condition is searched, by bisection on beta. The rms of
-the candidate is evaluated from the closed-form eigenstate (n <= 1), so a
-fit costs milliseconds and its energy residual is rounding-level.
+so only the rms condition is searched, by Brent's method on beta. The rms
+of each candidate comes from the closed-form sech^2 eigenstate of level n,
+so a fit runs no Numerov sweep, costs milliseconds, and its energy
+residual is rounding-level.
 """
 from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import BracketError, ConfigError, ConvergenceError, DomainError
 from .grids import ChannelConstants, RadialGrid, default_grid
 from .observables import _radius, rms_radius
-from .potentials import SechSquared, analytic_levels
-from .solver import BoundState, analytic_pt_state, solve_bound_state
+from .potentials import analytic_levels
+from .solver import BoundState, analytic_pt_state
+# Unused here since fits run no sweeps; perfbench's tracer test still expects
+# every namespace it wraps, this one included, to hold the name.
+from .solver import solve_bound_state  # noqa: F401
 
 log = logging.getLogger(__name__)
 
 DEFAULT_BETA_BRACKET = (0.2, 5.0)   # fm^-1
-BETA_TOL = 1e-8                     # fm^-1, bisection interval at termination
+BETA_TOL = 1e-8                     # fm^-1, root bracket width at termination
 MAX_FIT_ITERATIONS = 200
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -153,12 +159,67 @@ def a_tilde_from_energy(energy: float, beta: float, channel: ChannelConstants, n
     return 2.0 * n + 1.0 + math.sqrt(-energy / channel.hbar2_over_2mu) / beta
 
 
+def _brent_root(func, previous, best, contra, iterations: int) -> tuple[float, int]:
+    """Root of ``func`` between the (x, func(x)) points ``best`` and ``contra``.
+
+    Brent's method (Comput. J. 14, 422 (1971)): inverse quadratic or secant
+    steps through ``previous``, ``best`` and ``contra``, with a bisection
+    step whenever interpolation would not shrink the bracket fast enough.
+    Returns the best iterate once the bracket is narrower than BETA_TOL,
+    and the evaluation count ``iterations`` raised by the ones made here.
+    """
+    (a, fa), (b, fb), (c, fc) = previous, best, contra
+    step = prev_step = c - b
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * _EPS * abs(b) + 0.5 * BETA_TOL
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            return b, iterations
+        if iterations >= MAX_FIT_ITERATIONS:
+            raise ConvergenceError(
+                f"fit exceeded {MAX_FIT_ITERATIONS} iterations (bracket {min(b, c)}, {max(b, c)})"
+            )
+        if abs(prev_step) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:                                  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:                                       # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(prev_step * q)):
+                prev_step, step = step, p / q
+            else:
+                prev_step = step = half
+        else:
+            prev_step = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        iterations += 1
+        fb = func(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            step = prev_step = b - a
+
+
 def fit_parameters(
     preset: SystemPreset,
     beta_bracket: tuple[float, float] = DEFAULT_BETA_BRACKET,
     grid: RadialGrid | None = None,
 ) -> FitResult:
-    """Outer bisection on beta with the closed-form a_tilde(beta) inside."""
+    """Solve rms(beta) = target by Brent's method, with a_tilde(beta) in closed form.
+
+    A three-point probe first checks that rms falls strictly with beta over
+    the bracket and that the bracket straddles the target. The search stops
+    when the root is bracketed to BETA_TOL; ``iterations`` counts the rms
+    evaluations, probes included.
+    """
     if preset.fixed:
         raise ConfigError(
             f"preset {preset.name!r} has fixed parameters and is not fitted"
@@ -178,10 +239,7 @@ def fit_parameters(
     def state_at(beta: float) -> BoundState:
         try:
             a_tilde = a_tilde_from_energy(target_e, beta, channel, n)
-            if n <= 1:
-                return analytic_pt_state(a_tilde, beta, channel, n, grid=g)
-            potential = SechSquared(a_tilde, beta, channel.hbar2_over_2mu)
-            return solve_bound_state(potential, channel, target_nodes=n, grid=g)
+            return analytic_pt_state(a_tilde, beta, channel, n, grid=g)
         except DomainError as exc:
             raise ConvergenceError(f"state disappeared at beta={beta}: {exc}") from exc
 
@@ -190,10 +248,11 @@ def fit_parameters(
         return _radius(state_at(beta), preset.coordinate_factor)
 
     iterations = 3
-    rms_lo, rms_mid, rms_hi = rms_at(lo), rms_at(0.5 * (lo + hi)), rms_at(hi)
+    mid = 0.5 * (lo + hi)
+    rms_lo, rms_mid, rms_hi = rms_at(lo), rms_at(mid), rms_at(hi)
     log.info(
         "fit monotonicity probe: rms(%.3g)=%.4f rms(%.3g)=%.4f rms(%.3g)=%.4f",
-        lo, rms_lo, 0.5 * (lo + hi), rms_mid, hi, rms_hi,
+        lo, rms_lo, mid, rms_mid, hi, rms_hi,
     )
     if not rms_lo > rms_mid > rms_hi:
         raise ConvergenceError(
@@ -207,21 +266,12 @@ def fit_parameters(
             f"rms({lo})={rms_lo:.4f}, rms({hi})={rms_hi:.4f}"
         )
 
-    while hi - lo > BETA_TOL:
-        if iterations >= MAX_FIT_ITERATIONS:
-            raise ConvergenceError(
-                f"fit exceeded {MAX_FIT_ITERATIONS} iterations (bracket {lo}, {hi})"
-            )
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        iterations += 1
-        if rms_at(mid) > target_r:
-            lo = mid
-        else:
-            hi = mid
-
-    beta = 0.5 * (lo + hi)
+    # the probe's midpoint halves the bracket; its outer point seeds the search
+    lo_point, hi_point = (lo, rms_lo - target_r), (hi, rms_hi - target_r)
+    outer, far = (lo_point, hi_point) if rms_mid > target_r else (hi_point, lo_point)
+    beta, iterations = _brent_root(
+        lambda b: rms_at(b) - target_r, outer, (mid, rms_mid - target_r), far, iterations
+    )
     achieved_r = rms_radius(state_at(beta), preset.coordinate_factor)   # may warn (halo tails)
     a_tilde = a_tilde_from_energy(target_e, beta, channel, n)
     achieved_e = analytic_levels(a_tilde, beta, channel, n)

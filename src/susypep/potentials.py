@@ -154,8 +154,17 @@ def evaluate(potential: PotentialModel, r):
 
 
 def values_on_grid(potential: PotentialModel, grid: RadialGrid) -> np.ndarray:
-    """Potential values on all grid points (fast path for matching Tabulated)."""
-    if isinstance(potential, Tabulated) and potential.grid == grid:
+    """Potential values on all grid points.
+
+    A ``Tabulated`` is only taken on its own grid: linear interpolation onto
+    another mesh would put an O(h^2) error into the O(h^4) Numerov solution.
+    """
+    if isinstance(potential, Tabulated):
+        if potential.grid != grid:
+            raise DomainError(
+                f"tabulated potential lives on {potential.grid}, not on {grid}; "
+                "solve it on its own grid"
+            )
         return np.asarray(potential.values)
     return potential.evaluate(grid.r)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import BracketError, ConvergenceError, DomainError, NoSuchStateError
+from .errors import BracketError, ConvergenceError, DomainError
 from .grids import ChannelConstants, RadialGrid, default_grid, integrate
 from .potentials import (
     Gaussian,
@@ -411,6 +411,15 @@ def count_bound_states(
     return _outward_node_count(v / c, p, g)
 
 
+def _gegenbauer(k: int, lam: float, x: np.ndarray) -> np.ndarray:
+    """C_k^lam(x) from the three-term recurrence
+    k C_k = 2 (k + lam - 1) x C_{k-1} - (k + 2 lam - 2) C_{k-2}."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)     # C_{-1} = 0, C_0 = 1
+    for j in range(1, k + 1):
+        prev, cur = cur, (2.0 * (j + lam - 1.0) * x * cur - (j + 2.0 * lam - 2.0) * prev) / j
+    return cur
+
+
 def analytic_pt_state(
     a_tilde: float,
     beta: float,
@@ -418,21 +427,21 @@ def analytic_pt_state(
     n: int,
     grid: RadialGrid | None = None,
 ) -> BoundState:
-    """Closed-form sech^2 eigenstate for n = 0 or 1, normalized on the grid.
+    """Closed-form sech^2 eigenstate for any bound level n, normalized on the grid.
 
-    n = 0:  u ∝ tanh(beta r) sech^(At-1)(beta r)
-    n = 1:  u ∝ sech^(At-3)(beta r) tanh(beta r) [(2 At - 1) tanh^2(beta r) - 3]
+    With s = a_tilde and nu = 2n + 1 (the odd full-line states vanish at the
+    origin),
+
+        u_n ∝ sech^(s - nu)(beta r) C_nu^(s - nu + 1/2)(tanh beta r),
+
+    C the Gegenbauer polynomial (Cooper, Khare & Sukhatme, Phys. Rep. 251,
+    267 (1995)). Raises NoSuchStateError for a level the well does not hold.
     """
-    if n not in (0, 1):
-        raise NoSuchStateError(f"closed form implemented for n in (0, 1); got n={n}")
     energy = analytic_levels(a_tilde, beta, channel, n)   # raises if absent
     g = grid if grid is not None else default_grid()
     x = beta * g.r
-    t = np.tanh(x)
-    if n == 0:
-        u = t * sech(x) ** (a_tilde - 1.0)
-    else:
-        u = sech(x) ** (a_tilde - 3.0) * t * ((2.0 * a_tilde - 1.0) * t**2 - 3.0)
+    power = a_tilde - 2.0 * n - 1.0
+    u = sech(x) ** power * _gegenbauer(2 * n + 1, power + 0.5, np.tanh(x))
     u = u / math.sqrt(integrate(u * u, g))
     if u[_tail_index(u)] < 0.0:
         u = -u

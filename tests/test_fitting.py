@@ -8,6 +8,7 @@ from susypep import (
     BracketError,
     ChannelConstants,
     ConfigError,
+    SechSquared,
     SystemPreset,
     a_tilde_from_energy,
     analytic_levels,
@@ -17,8 +18,10 @@ from susypep import (
     load_preset_config,
     rms_radius,
     analytic_pt_state,
+    solve_bound_state,
 )
-from susypep.errors import DomainError
+from susypep import _kernels, fitting, solver
+from susypep.errors import ConvergenceError, DomainError
 
 CH_D = ChannelConstants(41.47, "n-p")
 
@@ -95,6 +98,58 @@ def test_synthetic_round_trip_recovers_parameters():
     result = fit_parameters(preset, grid=grid)
     assert result.beta == pytest.approx(beta_true, rel=1e-6)
     assert result.a_tilde == pytest.approx(a_true, rel=1e-6)
+
+
+CH_A = ChannelConstants(10.375, "alpha-alpha")
+
+
+def _two_node_preset(energy, rms):
+    """A custom 2-node fit like the ones the bound-chain benchmark runs."""
+    return SystemPreset(
+        name="two-node",
+        channel=CH_A,
+        target_energy=energy,
+        target_rms=rms,
+        physical_node_count=2,
+        coordinate_factor="unit",
+    )
+
+
+def test_two_node_fit_runs_no_numerov_sweep(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a fit ran a Numerov sweep")
+
+    monkeypatch.setattr(solver, "solve_bound_state", no_sweep)
+    monkeypatch.setattr(fitting, "solve_bound_state", no_sweep)
+    monkeypatch.setattr(_kernels, "sweep_outward", no_sweep)
+    monkeypatch.setattr(_kernels, "sweep_inward", no_sweep)
+    for energy, rms in ((-3.5, 3.8), (-2.4, 4.2), (-1.5, 4.6)):
+        result = fit_parameters(_two_node_preset(energy, rms), grid=default_grid())
+        assert abs(result.rms_residual) < 1e-4
+        assert result.iterations <= 15
+
+
+@pytest.mark.parametrize("name", ["deuteron", "be11"])
+def test_preset_fit_takes_at_most_fifteen_rms_evaluations(name):
+    assert fit_parameters(get_preset(name), grid=default_grid()).iterations <= 15
+
+
+def test_two_node_round_trip_recovers_numerov_parameters():
+    grid = default_grid()
+    a_true, beta_true = 6.1, 0.55
+    potential = SechSquared(a_true, beta_true, CH_A.hbar2_over_2mu)
+    state = solve_bound_state(potential, CH_A, target_nodes=2, grid=grid)
+    preset = _two_node_preset(analytic_levels(a_true, beta_true, CH_A, 2),
+                              rms_radius(state, "unit"))
+    result = fit_parameters(preset, grid=grid)
+    assert result.beta == pytest.approx(beta_true, rel=1e-6)
+    assert result.a_tilde == pytest.approx(a_true, rel=1e-6)
+
+
+def test_fit_stops_at_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_FIT_ITERATIONS", 5)
+    with pytest.raises(ConvergenceError, match="exceeded 5 iterations"):
+        fit_parameters(get_preset("deuteron"), grid=default_grid())
 
 
 def test_fit_logs_monotonicity_probe(caplog):

@@ -192,6 +192,15 @@ def test_rejected_corrections_fall_back_to_bisection(deuteron_chain, rejected, m
         assert got.energy == pytest.approx(state.energy, abs=1e-8)
 
 
+def test_tabulated_potential_off_its_own_grid_is_rejected(deuteron_chain):
+    # linear interpolation onto another mesh would be O(h^2) inside an O(h^4) solver
+    v3 = deuteron_chain.rec3.result
+    finer = RadialGrid.from_extent(0.005, 35.0)
+    with pytest.raises(DomainError, match="own grid"):
+        solve_bound_state(v3, CH_D, target_nodes=0, grid=finer)
+    assert solve_bound_state(v3, CH_D, target_nodes=0, grid=v3.grid).nodes == 0
+
+
 def test_channel_mismatch_rejected():
     pot = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
     with pytest.raises(DomainError):
@@ -264,13 +273,26 @@ def test_solve_at_energy_rescales_instead_of_overflowing(caplog):
 
 # --- analytic sech^2 states ------------------------------------------------------
 
-@pytest.mark.parametrize("n", [0, 1])
+def _gegenbauer_sum(k, lam, x):
+    """C_k^lam(x) from its explicit power sum, independent of the recurrence."""
+    if k < 0:
+        return np.zeros_like(x)
+    return sum(
+        (-1) ** m * math.gamma(k - m + lam) / (math.gamma(lam) * math.factorial(m)
+                                               * math.factorial(k - 2 * m))
+        * (2.0 * x) ** (k - 2 * m)
+        for m in range(k // 2 + 1)
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_analytic_state_satisfies_radial_equation(n):
     # independent oracle: substitute the closed form into the radial equation
     # with its exact second derivative.  For u = sech^m(x) Q(tanh x),
     #   u'' = b^2 sech^m [m^2 t^2 Q - m s^2 Q - 2(m+1) t s^2 Q' + s^4 Q''],
-    # with s = sech x, t = tanh x.
-    a_tilde, beta = 3.146, 1.587
+    # with s = sech x, t = tanh x.  Here Q = C_nu^lam with nu = 2n + 1,
+    # m = a_tilde - nu and lam = m + 1/2, and dC_k^lam/dx = 2 lam C_{k-1}^(lam+1).
+    a_tilde, beta = 9.5, 0.5
     grid = default_grid()
     state = analytic_pt_state(a_tilde, beta, CH_D, n, grid=grid)
     c = CH_D.hbar2_over_2mu
@@ -279,18 +301,15 @@ def test_analytic_state_satisfies_radial_equation(n):
     x = beta * grid.r
     t = np.tanh(x)
     s = 1.0 / np.cosh(x)
-    if n == 0:
-        m = a_tilde - 1.0
-        q = t
-        qp = np.ones_like(t)
-        qpp = np.zeros_like(t)
-    else:
-        m = a_tilde - 3.0
-        q = (2.0 * a_tilde - 1.0) * t**3 - 3.0 * t
-        qp = 3.0 * (2.0 * a_tilde - 1.0) * t**2 - 3.0
-        qpp = 6.0 * (2.0 * a_tilde - 1.0) * t
+    nu = 2 * n + 1
+    m = a_tilde - nu
+    lam = m + 0.5
+    q = _gegenbauer_sum(nu, lam, t)
+    qp = 2.0 * lam * _gegenbauer_sum(nu - 1, lam + 1.0, t)
+    qpp = 4.0 * lam * (lam + 1.0) * _gegenbauer_sum(nu - 2, lam + 2.0, t)
     raw = s**m * q
-    scale = state.u[1000] / raw[1000]        # match the normalized state
+    peak = int(np.argmax(np.abs(raw)))
+    scale = state.u[peak] / raw[peak]        # match the normalized state
     upp = (
         beta**2
         * s**m
@@ -299,7 +318,19 @@ def test_analytic_state_satisfies_radial_equation(n):
     )
     residual = -c * upp + (v - state.energy) * raw * scale
     assert np.max(np.abs(residual)) < 1e-10 * abs(state.energy)
+    assert np.max(np.abs(state.u - raw * scale)) < 1e-12
     assert state.nodes == n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_analytic_state_matches_numerov_state_for_every_alpha_level(n):
+    a_tilde, beta = 5.945, 0.535
+    grid = default_grid()
+    exact = analytic_pt_state(a_tilde, beta, CH_A, n, grid=grid)
+    numeric = solve_bound_state(SechSquared(a_tilde, beta, CH_A.hbar2_over_2mu), CH_A,
+                                target_nodes=n, grid=grid)
+    assert np.max(np.abs(exact.u - numeric.u)) <= 1e-7
+    assert exact.nodes == numeric.nodes == n
 
 
 def test_analytic_state_energy_is_closed_form():
@@ -314,9 +345,10 @@ def test_analytic_numerical_overlap(deuteron_chain):
     assert ovl == pytest.approx(1.0, abs=1e-6)
 
 
-def test_analytic_state_rejects_n_above_one():
+def test_analytic_state_rejects_level_the_well_does_not_hold():
+    assert level_count(9.5) == 5
     with pytest.raises(NoSuchStateError):
-        analytic_pt_state(9.5, 0.5, CH_D, 2)
+        analytic_pt_state(9.5, 0.5, CH_D, 5)
 
 
 def test_analytic_state_rejects_missing_state():
