@@ -38,7 +38,6 @@ from .observables import (
 )
 from .pipeline import ChainResult, analyze
 from .potentials import (
-    Gaussian,
     PotentialModel,
     SechSquared,
     SuperpotentialPair,
@@ -47,7 +46,6 @@ from .potentials import (
     analytic_depth,
     analytic_levels,
     depth_from_a,
-    evaluate,
     level_count,
     shape_invariance_residual,
 )

@@ -5,6 +5,11 @@ to force the fallback in a tree or install that has the kernel built.
 ``BACKEND`` names the implementation actually in use. Both backends give
 bit-identical results.
 
+Each backend holds one recurrence, ``sweep_outward``. ``sweep_inward`` runs
+it on the reversed mesh: reversing the index gives the same arithmetic in
+the same order, and the rescaled prefix of the reversed sweep is the
+rescaled suffix of the inward one.
+
 ``sweep_outward_batch`` sweeps many energies at once. The fallback runs
 them together in numpy, row by row, at a cost per curve of about four to
 five scalar sweeps whatever the number of energies; shorter curves loop
@@ -34,7 +39,25 @@ else:
 
 
 sweep_outward = _impl.sweep_outward
-sweep_inward = _impl.sweep_inward
+
+
+def _reversed(outward):
+    """The inward sweep as ``outward`` run on the reversed mesh.
+
+    ``outward`` is bound here once, so an inward sweep is one kernel call
+    even where a tracer wraps each backend's ``sweep_outward``.
+    """
+    def sweep_inward(f, h, u_last, u_second_last, stop):
+        """Integrate u'' = f u from the last index down to ``stop`` inclusive.
+
+        Returns (u, log_scale) with u[j] holding grid index stop + j.
+        """
+        u, log_scale = outward(f[stop:][::-1], h, u_last, u_second_last, len(f) - 1 - stop)
+        return u[::-1], log_scale
+    return sweep_inward
+
+
+sweep_inward = _reversed(_impl.sweep_outward)
 
 # Fewest energies for which the fallback's numpy rows beat a scalar loop:
 # the two cross at 4-5 energies on 0.01 fm x 35 fm and 0.005 fm x 100 fm

@@ -1,10 +1,12 @@
-/* Compiled Numerov sweeps: the hot loop of every bound solve and phase sweep.
+/* Compiled Numerov sweep: the hot loop of every bound solve and phase sweep.
 
 Semantics and operation order match ``_numerov_py`` exactly: u'' = f u on a
 uniform mesh, u[i+1] = ((2 + 10 T_i) u[i] - (1 - T_{i-1}) u[i-1]) / (1 - T_{i+1})
 with T_i = h^2 f_i / 12, and the computed prefix rescaled by SHRINK whenever
 |u| passes GUARD (true_u = u * exp(log_scale)). Built with -ffp-contract=off,
 so no multiply-add is fused and every value is bit-identical to the fallback's.
+This is the only recurrence: ``_kernels.sweep_inward`` runs it on the
+reversed mesh.
 */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -15,37 +17,28 @@ so no multiply-add is fused and every value is bit-identical to the fallback's.
 #define GUARD 1e250
 #define SHRINK 1e-250
 
-/* Parses (f, h, u_a, u_b, stop) into f as a C-contiguous float64 vector and
-   a new output array: stop + 1 values outward (1 <= stop < len(f)), or
-   len(f) - stop inward (0 <= stop <= len(f) - 2). Returns -1 with an
-   exception set on failure. */
-static int begin(PyObject *args, int inward, PyArrayObject **fa, PyObject **out,
-                 double *h, double *ua, double *ub, Py_ssize_t *stop)
-{
-    PyObject *f;
-    if (!PyArg_ParseTuple(args, "Odddn", &f, h, ua, ub, stop))
-        return -1;
-    *fa = (PyArrayObject *)PyArray_FROMANY(f, NPY_DOUBLE, 1, 1, NPY_ARRAY_IN_ARRAY);
-    if (*fa == NULL)
-        return -1;
-    Py_ssize_t n = PyArray_DIM(*fa, 0);
-    npy_intp len = inward ? n - *stop : *stop + 1;
-    if (*stop < 0 || len < 2 || len > n)
-        PyErr_Format(PyExc_ValueError, "stop %zd out of range for %zd points", *stop, n);
-    else if ((*out = PyArray_SimpleNew(1, &len, NPY_DOUBLE)) != NULL)
-        return 0;
-    Py_DECREF(*fa);
-    return -1;
-}
-
+/* sweep_outward(f, h, u0, u1, stop) -> (u[0..stop], log_scale), 1 <= stop < len(f). */
 static PyObject *sweep_outward(PyObject *self, PyObject *args)
 {
-    PyArrayObject *fa;
-    PyObject *out;
+    PyObject *f_obj, *out = NULL;
     double h, u0, u1, log_scale = 0.0;
     Py_ssize_t stop;
-    if (begin(args, 0, &fa, &out, &h, &u0, &u1, &stop) < 0)
+    if (!PyArg_ParseTuple(args, "Odddn", &f_obj, &h, &u0, &u1, &stop))
         return NULL;
+    PyArrayObject *fa = (PyArrayObject *)PyArray_FROMANY(f_obj, NPY_DOUBLE, 1, 1,
+                                                         NPY_ARRAY_IN_ARRAY);
+    if (fa == NULL)
+        return NULL;
+    Py_ssize_t n = PyArray_DIM(fa, 0);
+    npy_intp len = stop + 1;
+    if (stop < 1 || stop >= n)
+        PyErr_Format(PyExc_ValueError, "stop %zd out of range for %zd points", stop, n);
+    else
+        out = PyArray_SimpleNew(1, &len, NPY_DOUBLE);
+    if (out == NULL) {
+        Py_DECREF(fa);
+        return NULL;
+    }
     const double *f = PyArray_DATA(fa), t = h * h / 12.0;
     double *u = PyArray_DATA((PyArrayObject *)out);
     u[0] = u0;
@@ -65,38 +58,8 @@ static PyObject *sweep_outward(PyObject *self, PyObject *args)
     return Py_BuildValue("(Nd)", out, log_scale);
 }
 
-static PyObject *sweep_inward(PyObject *self, PyObject *args)
-{
-    PyArrayObject *fa;
-    PyObject *out;
-    double h, u_last, u_second_last, log_scale = 0.0;
-    Py_ssize_t stop;
-    if (begin(args, 1, &fa, &out, &h, &u_last, &u_second_last, &stop) < 0)
-        return NULL;
-    const double *f = PyArray_DATA(fa), t = h * h / 12.0;
-    double *u = PyArray_DATA((PyArrayObject *)out);
-    Py_ssize_t n = PyArray_DIM(fa, 0), m = n - stop;
-    u[m - 1] = u_last;
-    u[m - 2] = u_second_last;
-    for (Py_ssize_t i = n - 2; i > stop; i--) {
-        Py_ssize_t j = i - stop;
-        double prv = ((2.0 + 10.0 * t * f[i]) * u[j]
-                      - (1.0 - t * f[i + 1]) * u[j + 1]) / (1.0 - t * f[i - 1]);
-        if (prv > GUARD || prv < -GUARD) {
-            for (Py_ssize_t k = j; k < m; k++)
-                u[k] *= SHRINK;
-            prv *= SHRINK;
-            log_scale += -log(SHRINK);
-        }
-        u[j - 1] = prv;
-    }
-    Py_DECREF(fa);
-    return Py_BuildValue("(Nd)", out, log_scale);
-}
-
 static PyMethodDef methods[] = {
     {"sweep_outward", sweep_outward, METH_VARARGS, "(f, h, u0, u1, stop) -> (u[0..stop], log_scale)"},
-    {"sweep_inward", sweep_inward, METH_VARARGS, "(f, h, u_last, u_second_last, stop) -> (u[stop..], log_scale)"},
     {NULL, NULL, 0, NULL},
 };
 

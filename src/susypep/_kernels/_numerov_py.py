@@ -1,14 +1,15 @@
-"""Pure-Python Numerov sweeps; mirror of the compiled kernel.
+"""Pure-Python Numerov sweep; mirror of the compiled kernel.
 
 Kept algorithmically identical to ``_numerov_cy`` so either backend may
-serve the solver. The recurrence solves u'' = f(r) u on a uniform mesh:
+serve the solver. The one recurrence solves u'' = f(r) u on a uniform mesh:
 
     u[i+1] = (2 u[i] (1 + 5 T_i) - u[i-1] (1 - T_{i-1})) / (1 - T_{i+1}),
     T_i = h^2 f_i / 12.
 
-Both sweeps rescale the computed prefix whenever |u| exceeds ``guard`` and
-report the accumulated log-scale (true_u = returned_u * exp(log_scale)),
-so deeply classically-forbidden integrations never overflow.
+The sweep rescales the computed prefix whenever |u| exceeds ``GUARD`` and
+reports the accumulated log-scale (true_u = returned_u * exp(log_scale)),
+so deeply classically-forbidden integrations never overflow. Inward sweeps
+are this sweep on the reversed mesh (``_kernels.sweep_inward``).
 
 ``sweep_outward_batch`` runs the outward recurrence for many energies at
 once with numpy, one radial row at a time across all energies: a few ufunc
@@ -44,32 +45,6 @@ def sweep_outward(f, h, u0, u1, stop):
             nxt *= _SHRINK
             log_scale += -math.log(_SHRINK)
         u[i + 1] = nxt
-    return np.array(u), log_scale
-
-
-def sweep_inward(f, h, u_last, u_second_last, stop):
-    """Integrate u'' = f u from the last index down to ``stop`` inclusive.
-
-    Returns (u, log_scale) with u[j] holding grid index stop + j.
-    """
-    fa = np.asarray(f, dtype=float)
-    n = fa.shape[0]
-    t = h * h / 12.0
-    a = (1.0 - t * fa).tolist()
-    b = (2.0 + 10.0 * t * fa).tolist()
-    m = n - stop
-    u = [0.0] * m
-    u[m - 1], u[m - 2] = u_last, u_second_last
-    log_scale = 0.0
-    for i in range(n - 2, stop, -1):
-        j = i - stop
-        prv = (b[i] * u[j] - a[i + 1] * u[j + 1]) / a[i - 1]
-        if prv > GUARD or prv < -GUARD:
-            for k in range(j, m):
-                u[k] *= _SHRINK
-            prv *= _SHRINK
-            log_scale += -math.log(_SHRINK)
-        u[j - 1] = prv
     return np.array(u), log_scale
 
 

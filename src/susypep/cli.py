@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, SusypepError
+from .errors import ConfigError, DomainError, SusypepError
 from .fitting import SystemPreset, fit_parameters, get_preset, load_preset_config
 from .grids import DEFAULT_R_MAX, DEFAULT_STEP, RadialGrid
 from .io import OutputWriter
@@ -92,7 +92,13 @@ class RunConfig:
 
         if args.step <= 0 or args.rmax <= 0:
             raise ConfigError("--step and --rmax must be positive")
-        grid = RadialGrid.from_extent(args.step, args.rmax)
+        try:
+            grid = RadialGrid.from_extent(args.step, args.rmax)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+        removals = getattr(args, "removals", 1)
+        if removals < 0:
+            raise ConfigError(f"--removals must be >= 0, got {removals}")
 
         given = [x is not None for x in (args.emin, args.emax, args.estep)]
         sweep = None
@@ -111,7 +117,7 @@ class RunConfig:
             csv=args.format in ("csv", "both"),
             json=args.format in ("json", "both"),
             sweep=sweep,
-            removals=getattr(args, "removals", 1),
+            removals=removals,
         )
 
     def writer(self) -> OutputWriter | None:

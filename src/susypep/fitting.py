@@ -210,7 +210,6 @@ def _brent_root(func, previous, best, contra, iterations: int) -> tuple[float, i
 
 def fit_parameters(
     preset: SystemPreset,
-    beta_bracket: tuple[float, float] = DEFAULT_BETA_BRACKET,
     grid: RadialGrid | None = None,
 ) -> FitResult:
     """Solve rms(beta) = target by Brent's method, with a_tilde(beta) in closed form.
@@ -232,9 +231,7 @@ def fit_parameters(
     target_e = preset.target_energy
     target_r = preset.target_rms
 
-    lo, hi = beta_bracket
-    if not 0.0 < lo < hi:
-        raise BracketError(f"invalid beta bracket ({lo}, {hi})")
+    lo, hi = DEFAULT_BETA_BRACKET
 
     def state_at(beta: float) -> BoundState:
         try:

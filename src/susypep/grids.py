@@ -93,8 +93,3 @@ def integrate(values: np.ndarray, grid: RadialGrid) -> float:
     h = grid.step
     core = h * (0.5 * (v[0] + v[-1]) + v[1:-1].sum())
     return core + 0.5 * h * v[0]   # [0, r_1] sliver with value 0 at the origin
-
-
-def overlap(u1: np.ndarray, u2: np.ndarray, grid: RadialGrid) -> float:
-    """<u1|u2> on the grid."""
-    return integrate(np.asarray(u1) * np.asarray(u2), grid)

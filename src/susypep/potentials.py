@@ -1,23 +1,21 @@
 """Radial potential families and the sech^2 closed-form spectrum.
 
-Three families are supported:
+Two families are supported:
 
 * ``SechSquared`` -- the two-parameter deep well V(r) = -V0 sech^2(beta r)
   with V0 = (hbar^2/2mu) At (At + 1) beta^2.  Its half-line spectrum is
   known in closed form, E_n = -(hbar^2/2mu) (At - 2n - 1)^2 beta^2, which
   the numerical solver is tested against.
-* ``Gaussian`` -- a simple analytic well, used for demos and cross-checks.
 * ``Tabulated`` -- values on a :class:`RadialGrid` plus an explicit origin
   singularity coefficient c such that V(r) -> c (hbar^2/2mu) / r^2 for
   r -> 0.  The supersymmetric transforms produce these.
 
-Potentials that are only meaningful together with a channel constant
-(SechSquared depth, the Tabulated origin law) carry hbar2_over_2mu as a
-field so that ``evaluate`` needs no extra context.
+Both carry hbar2_over_2mu as a field, so the solver can check them against
+the channel they are solved in. A ``Tabulated`` is read only on its own
+grid (see ``values_on_grid``).
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -26,8 +24,6 @@ import numpy as np
 
 from .errors import DomainError, NoSuchStateError
 from .grids import ChannelConstants, RadialGrid
-
-log = logging.getLogger(__name__)
 
 
 def sech(x):
@@ -75,35 +71,11 @@ class SechSquared:
 
 
 @dataclass(frozen=True)
-class Gaussian:
-    """V(r) = -U0 exp(-alpha r^2); demo family."""
-
-    depth: float            # U0, MeV
-    alpha: float            # fm^-2
-    hbar2_over_2mu: float | None = None
-
-    def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be > 0, got {self.alpha}")
-
-    @property
-    def singular_coefficient(self) -> float:
-        return 0.0
-
-    def evaluate(self, r):
-        arr = _check_positive_r(r)
-        out = -self.depth * np.exp(-self.alpha * arr**2)
-        return float(out) if np.isscalar(r) else out
-
-
-@dataclass(frozen=True)
 class Tabulated:
     """Potential sampled on a grid, with an explicit c/r^2 origin law.
 
-    Between mesh points the value is linearly interpolated. Below r_min the
-    singular law c*(hbar^2/2mu)/r^2 plus the constant smooth remainder at
-    r_min is used; beyond r_max the potential is taken as vanished (with a
-    logged warning).
+    ``singular_coefficient`` is c in V(r) -> c (hbar^2/2mu) / r^2 for r -> 0;
+    the solver starts its sweeps from the matching origin series.
     """
 
     grid: RadialGrid
@@ -125,32 +97,8 @@ class Tabulated:
         if self.singular_coefficient < 0.0:
             raise DomainError("singular_coefficient must be >= 0")
 
-    def evaluate(self, r):
-        arr = _check_positive_r(r)
-        scalar = np.isscalar(r)
-        arr = np.atleast_1d(arr)
-        out = np.interp(arr, self.grid.r, self.values)
-        below = arr < self.grid.r_min
-        if np.any(below):
-            ck = self.singular_coefficient * self.hbar2_over_2mu
-            remainder = self.values[0] - ck / self.grid.r_min**2
-            out[below] = ck / arr[below] ** 2 + remainder
-        beyond = arr > self.grid.r_max
-        if np.any(beyond):
-            log.warning(
-                "evaluating tabulated potential beyond r_max=%.3f fm; extrapolating as 0",
-                self.grid.r_max,
-            )
-            out[beyond] = 0.0
-        return float(out[0]) if scalar else out
 
-
-PotentialModel = Union[SechSquared, Gaussian, Tabulated]
-
-
-def evaluate(potential: PotentialModel, r):
-    """Evaluate any potential variant at r (scalar or array), in MeV."""
-    return potential.evaluate(r)
+PotentialModel = Union[SechSquared, Tabulated]
 
 
 def values_on_grid(potential: PotentialModel, grid: RadialGrid) -> np.ndarray:

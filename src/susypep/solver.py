@@ -28,7 +28,6 @@ from . import _kernels
 from .errors import BracketError, ConvergenceError, DomainError
 from .grids import ChannelConstants, RadialGrid, default_grid, integrate
 from .potentials import (
-    Gaussian,
     PotentialModel,
     SechSquared,
     Tabulated,
@@ -200,7 +199,7 @@ def default_energy_bracket(
     potential: PotentialModel, channel: ChannelConstants, grid: RadialGrid | None = None
 ) -> tuple[float, float]:
     """(-1.05 * depth, -1e-6) MeV from the potential's sampled minimum."""
-    if isinstance(potential, (SechSquared, Gaussian)):
+    if isinstance(potential, SechSquared):
         depth = potential.depth
     else:
         g = _grid_for(potential, grid)
@@ -372,7 +371,6 @@ def solve_at_energy(
     channel: ChannelConstants,
     energy: float,
     grid: RadialGrid | None = None,
-    stop_index: int | None = None,
 ) -> RegularSolution:
     """Outward regular solution at a fixed energy (bound or scattering region).
 
@@ -387,9 +385,8 @@ def solve_at_energy(
     v = values_on_grid(potential, g)
     p = origin_power(potential)
     f = (v - energy) / c
-    stop = g.n_points - 1 if stop_index is None else stop_index
     u1, u2 = _series_start(f, p, g)
-    u, log_scale = _kernels.sweep_outward(f, g.step, u1, u2, stop)
+    u, log_scale = _kernels.sweep_outward(f, g.step, u1, u2, g.n_points - 1)
     if log_scale == 0.0:
         u = u * (g.r_min**p / u[0])
     else:

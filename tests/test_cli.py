@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from susypep import cli
 from susypep.cli import main
 
 
@@ -183,6 +184,19 @@ def test_partial_sweep_flags_are_config_error(capsys):
     code = run(["report", "--preset", "deuteron", "--emin", "1"])
     assert code == 3
     assert "together" in capsys.readouterr().err
+
+
+def test_grid_too_short_is_config_error(capsys):
+    code = run(["partner", "--preset", "deuteron", "--rmax", "0.5"])
+    assert code == 3
+    assert "need at least 100 grid points" in capsys.readouterr().err
+
+
+def test_negative_removals_is_config_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "analyze", lambda *a, **kw: pytest.fail("solved before validating"))
+    code = run(["partner", "--preset", "deuteron", "--removals", "-1"])
+    assert code == 3
+    assert "--removals" in capsys.readouterr().err
 
 
 def test_phase_defaults(tmp_path, capsys):

@@ -44,7 +44,7 @@ def test_inward_sweep_reproduces_decaying_exponential():
     kappa, h, n = 0.8, 0.001, 4000
     f = np.full(n, kappa * kappa)
     r = h * np.arange(1, n + 1)
-    u, log_scale = _numerov_py.sweep_inward(
+    u, log_scale = _kernels.sweep_inward(
         f, h, math.exp(-kappa * r[-1]), math.exp(-kappa * r[-2]), 0
     )
     assert log_scale == 0.0
@@ -76,12 +76,19 @@ _RESCALED_SWEEPS = [
 ]
 
 
+def _sweep(impl, name, *args):
+    """Sweep ``name`` on backend ``impl``; inward is its outward sweep reversed by ``_kernels``."""
+    if name == "sweep_outward":
+        return impl.sweep_outward(*args)
+    return _kernels._reversed(impl.sweep_outward)(*args)
+
+
 def _assert_bit_identical(impl, sweeps):
     """Each sweep of ``impl`` equals the fallback's bit for bit; returns the log scales."""
     scales = []
     for name, f, h, u_a, u_b, stop in sweeps:
-        u_ref, s_ref = getattr(_numerov_py, name)(f, h, u_a, u_b, stop)
-        u, s = getattr(impl, name)(f, h, u_a, u_b, stop)
+        u_ref, s_ref = _sweep(_numerov_py, name, f, h, u_a, u_b, stop)
+        u, s = _sweep(impl, name, f, h, u_a, u_b, stop)
         assert np.array_equal(u, u_ref) and s == s_ref, name
         scales.append(s)
     return scales
@@ -103,7 +110,37 @@ def test_backends_agree_on_rescaled_sweep():
 )
 def test_compiled_sweep_rejects_stop_outside_the_grid(name, stop):
     with pytest.raises(ValueError, match="out of range"):
-        getattr(_numerov_cy, name)(np.zeros(12), 0.01, 1.0, 1.0, stop)
+        _sweep(_numerov_cy, name, np.zeros(12), 0.01, 1.0, 1.0, stop)
+
+
+def _reference_inward(f, h, u_last, u_second_last, stop):
+    """The inward recurrence written out: u[i-1] from u[i] and u[i+1], rescaling the suffix."""
+    n, t = len(f), h * h / 12.0
+    u = [0.0] * (n - stop)
+    u[-1], u[-2] = u_last, u_second_last
+    log_scale = 0.0
+    for i in range(n - 2, stop, -1):
+        j = i - stop
+        prv = ((2.0 + 10.0 * t * f[i]) * u[j]
+               - (1.0 - t * f[i + 1]) * u[j + 1]) / (1.0 - t * f[i - 1])
+        if prv > 1e250 or prv < -1e250:
+            u[j:] = [x * 1e-250 for x in u[j:]]
+            prv *= 1e-250
+            log_scale += -math.log(1e-250)
+        u[j - 1] = prv
+    return np.array(u), log_scale
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("compiled", marks=needs_compiled)])
+@pytest.mark.parametrize("f, stop", [
+    (_RANDOM_F, 0), (_RANDOM_F, 5), (_RANDOM_F, 2998), (_STIFF_F, 0), (_STIFF_F, 11998),
+])
+def test_inward_sweep_is_the_reference_inward_recurrence(backend, f, stop):
+    impl = _numerov_py if backend == "python" else _numerov_cy
+    u_ref, s_ref = _reference_inward(f.tolist(), 0.01, 1.0, math.exp(0.3), stop)
+    u, s = _sweep(impl, "sweep_inward", f, 0.01, 1.0, math.exp(0.3), stop)
+    assert np.array_equal(u, u_ref) and s == s_ref
+    assert (s > 0.0) == (f is _STIFF_F and stop == 0)
 
 
 def test_extension_builds_from_setup_py(tmp_path):

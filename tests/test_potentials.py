@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -9,17 +8,13 @@ from hypothesis import strategies as st
 from susypep import (
     ChannelConstants,
     DomainError,
-    Gaussian,
     NoSuchStateError,
-    RadialGrid,
     SechSquared,
     SuperpotentialPair,
-    Tabulated,
     a_from_depth,
     analytic_depth,
     analytic_levels,
     depth_from_a,
-    evaluate,
     level_count,
     shape_invariance_residual,
 )
@@ -33,51 +28,21 @@ CH_A = ChannelConstants(10.375, "alpha-alpha")
 def test_sech_squared_origin_limit_is_minus_depth():
     pot = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
     v0 = analytic_depth(3.146, 1.587, CH_D)
-    assert evaluate(pot, 1e-9) == pytest.approx(-v0, rel=1e-12)
+    assert pot.evaluate(1e-9) == pytest.approx(-v0, rel=1e-12)
     assert pot.depth == pytest.approx(v0, rel=1e-15)
 
 
 def test_all_families_decay_at_large_r():
-    grid = RadialGrid(step=0.01, n_points=200)
-    tab = Tabulated(grid, -5.0 * np.exp(-grid.r), 0.0, CH_D.hbar2_over_2mu)
-    for pot in (
-        SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu),
-        Gaussian(122.694, 0.22),
-        tab,
-    ):
-        assert abs(evaluate(pot, 1e4)) < 1e-12
-
-
-def test_tabulated_singular_law_below_first_point():
-    grid = RadialGrid(step=0.01, n_points=200)
-    values = 6.0 * CH_D.hbar2_over_2mu / grid.r**2 - 30.0
-    tab = Tabulated(grid, values, 6.0, CH_D.hbar2_over_2mu)
-    r_probe = grid.step / 10.0
-    expected = 6.0 * CH_D.hbar2_over_2mu / r_probe**2
-    assert evaluate(tab, r_probe) == pytest.approx(expected, rel=0.01)
+    pot = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
+    assert abs(pot.evaluate(1e4)) < 1e-12
 
 
 def test_evaluate_rejects_nonpositive_r():
     pot = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
     with pytest.raises(DomainError):
-        evaluate(pot, 0.0)
+        pot.evaluate(0.0)
     with pytest.raises(DomainError):
-        evaluate(pot, -1.0)
-
-
-def test_tabulated_beyond_range_is_zero_with_warning(caplog):
-    grid = RadialGrid(step=0.01, n_points=100)
-    tab = Tabulated(grid, np.full(100, -1.0), 0.0, CH_D.hbar2_over_2mu)
-    with caplog.at_level(logging.WARNING):
-        value = evaluate(tab, grid.r_max + 1.0)
-    assert value == 0.0
-    assert any("extrapolating as 0" in rec.message for rec in caplog.records)
-
-
-def test_tabulated_interpolates_linearly():
-    grid = RadialGrid(step=0.01, n_points=100)
-    tab = Tabulated(grid, 3.0 * grid.r, 0.0, CH_D.hbar2_over_2mu)
-    assert evaluate(tab, 0.015) == pytest.approx(0.045, rel=1e-12)
+        pot.evaluate(-1.0)
 
 
 def test_sech_squared_parameter_validation():
