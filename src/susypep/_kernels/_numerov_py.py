@@ -26,25 +26,30 @@ _BLOCK = 64   # radial rows per coefficient block in sweep_outward_batch
 
 
 def sweep_outward(f, h, u0, u1, stop):
-    """Integrate u'' = f u from index 0 up to ``stop`` inclusive.
+    """Integrate u'' = f u from index 0 up to ``stop`` inclusive, 1 <= stop < len(f).
 
     Returns (u, log_scale) with u of length stop + 1.
     """
     fa = np.asarray(f, dtype=float)
+    if not 1 <= stop < len(fa):
+        raise ValueError(f"stop {stop} out of range for {len(fa)} points")
     t = h * h / 12.0
-    a = (1.0 - t * fa).tolist()          # (1 - T_i)
-    b = (2.0 + 10.0 * t * fa).tolist()   # 2 (1 + 5 T_i)
-    u = [0.0] * (stop + 1)
-    u[0], u[1] = u0, u1
+    a = (1.0 - t * fa[:stop + 1]).tolist()      # (1 - T_i)
+    b = (2.0 + 10.0 * t * fa[:stop]).tolist()   # 2 (1 + 5 T_i)
+    u = [u0, u1]
+    append = u.append
+    prev, cur = u0, u1
     log_scale = 0.0
-    for i in range(1, stop):
-        nxt = (b[i] * u[i] - a[i - 1] * u[i - 1]) / a[i + 1]
-        if nxt > GUARD or nxt < -GUARD:
-            for j in range(i + 1):
-                u[j] *= _SHRINK
-            nxt *= _SHRINK
+    guard, neg_guard = GUARD, -GUARD    # locals: no global lookup per step
+    # step i: a_prev = a[i - 1], b_cur = b[i], a_next = a[i + 1], for i = 1 .. stop - 1
+    for a_prev, b_cur, a_next in zip(a, b[1:], a[2:]):
+        nxt = (b_cur * cur - a_prev * prev) / a_next
+        if nxt > guard or nxt < neg_guard:   # never true for nan
+            u[:] = [x * _SHRINK for x in u]
+            prev, cur, nxt = prev * _SHRINK, cur * _SHRINK, nxt * _SHRINK
             log_scale += -math.log(_SHRINK)
-        u[i + 1] = nxt
+        append(nxt)
+        prev, cur = cur, nxt
     return np.array(u), log_scale
 
 

@@ -25,7 +25,7 @@ from .observables import (
     rms_radius,
 )
 from .pipeline import analyze
-from .potentials import analytic_depth, analytic_levels, level_count, values_on_grid
+from .potentials import analytic_depth, analytic_levels, values_on_grid
 from .solver import solve_bound_state
 
 
@@ -172,8 +172,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     depth = analytic_depth(a_tilde, beta, channel)
     print(f"spectrum {preset.name}: a_tilde={a_tilde:.6f} beta={beta:.6f} /fm depth={depth:.3f} MeV")
     levels = []
-    for n in range(level_count(a_tilde)):
-        e_analytic = analytic_levels(a_tilde, beta, channel, n)
+    for n, e_analytic in enumerate(chain.potential.levels):
         state = solve_bound_state(chain.potential, channel, target_nodes=n, grid=cfg.grid)
         levels.append({"n": n, "analytic_MeV": e_analytic, "numerical_MeV": state.energy,
                        "nodes": state.nodes, "kappa_per_fm": state.kappa})

@@ -12,7 +12,10 @@ Two families are supported:
 
 Both carry hbar2_over_2mu as a field, so the solver can check them against
 the channel they are solved in. A ``Tabulated`` is read only on its own
-grid (see ``values_on_grid``).
+grid (see ``values_on_grid``). Both carry ``levels``, the bound energies
+they are known to have (closed form for ``SechSquared``; the source's
+spectrum minus the removed level for a SUSY partner), where the solver
+starts its eigenvalue search.
 """
 from __future__ import annotations
 
@@ -64,6 +67,13 @@ class SechSquared:
     def singular_coefficient(self) -> float:
         return 0.0
 
+    @property
+    def levels(self) -> tuple[float, ...]:
+        """Closed-form bound energies E_n, MeV, for every level the well holds."""
+        channel = ChannelConstants(self.hbar2_over_2mu)
+        return tuple(analytic_levels(self.a_tilde, self.beta, channel, n)
+                     for n in range(level_count(self.a_tilde)))
+
     def evaluate(self, r):
         arr = _check_positive_r(r)
         out = -self.depth * sech(self.beta * arr) ** 2
@@ -76,12 +86,16 @@ class Tabulated:
 
     ``singular_coefficient`` is c in V(r) -> c (hbar^2/2mu) / r^2 for r -> 0;
     the solver starts its sweeps from the matching origin series.
+    ``levels`` holds the bound energies the potential is known to have, MeV,
+    lowest first (a SUSY partner keeps its source's spectrum minus the
+    removed level); the solver starts its search there.
     """
 
     grid: RadialGrid
     values: np.ndarray
     singular_coefficient: float
     hbar2_over_2mu: float
+    levels: tuple[float, ...] = ()
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -96,6 +110,10 @@ class Tabulated:
         object.__setattr__(self, "values", vals)
         if self.singular_coefficient < 0.0:
             raise DomainError("singular_coefficient must be >= 0")
+        levels = tuple(float(e) for e in self.levels)
+        if not all(math.isfinite(e) and e < above for e, above in zip(levels, levels[1:] + (0.0,))):
+            raise DomainError(f"levels must be finite bound energies, lowest first, got {levels}")
+        object.__setattr__(self, "levels", levels)
 
 
 PotentialModel = Union[SechSquared, Tabulated]

@@ -2,14 +2,19 @@
 
 The radial equation is integrated as u'' = f(r) u with
 f = (V - E) / (hbar^2/2mu) using Numerov sweeps (see ``_kernels``).
-Eigenvalues are found in two stages. Bisection on the interior node count
-of the outward sweep narrows the energy bracket until it holds only the
-requested state; Cooley's energy correction, from an outward sweep and a
-Dirichlet inward sweep matched at the outermost classical turning point,
-then converges quadratically to that eigenvalue of the r_max-truncated
-problem. A correction that leaves the bracket is replaced by one more
-bisection step. The final state is assembled from the same matched pair,
-with the inward sweep seeded by the exp(-kappa r) tail.
+Eigenvalues are found in two stages. The search starts from a bracket that
+holds only the requested state. Where the potential knows that level
+(``levels``: closed form for sech^2, the source's spectrum minus the
+removed level for a SUSY partner) the bracket is centred on it, and two
+node-count probes at its ends confirm it; otherwise, or when they do not,
+bisection on the interior node count of the outward sweep narrows the
+wide default bracket until it isolates the state. Cooley's energy
+correction, from an outward sweep and a Dirichlet inward sweep matched at
+the outermost classical turning point, then converges quadratically to
+that eigenvalue of the r_max-truncated problem, from the known level in
+two corrections. A correction that leaves the bracket is replaced by one
+more bisection step. The final state is assembled from the same matched
+pair, with the inward sweep seeded by the exp(-kappa r) tail.
 
 Near the origin every sweep is started from the Frobenius series
 u = r^p (1 + a2 r^2 + a4 r^4), p = 1 + l_eff, which keeps the start error
@@ -207,6 +212,22 @@ def default_energy_bracket(
     return (-1.05 * depth, -1e-6)
 
 
+def _known_level_bracket(potential: PotentialModel, n: int) -> tuple[float, float] | None:
+    """(E_n - w, E_n + w) around the known level n, or None when it is not known.
+
+    w is half the distance to the nearest neighbouring level, or to
+    threshold for the top level, so the bracket holds level n alone and its
+    midpoint is the known level.
+    """
+    levels = potential.levels
+    if n >= len(levels):
+        return None
+    above = levels[n + 1] if n + 1 < len(levels) else 0.0
+    below = levels[n - 1] if n > 0 else -math.inf
+    half = 0.5 * min(above - levels[n], levels[n] - below)
+    return (levels[n] - half, levels[n] + half)
+
+
 def _outward_node_count(f: np.ndarray, p: float, grid: RadialGrid) -> int:
     u1, u2 = _series_start(f, p, grid)
     u, _ = _kernels.sweep_outward(f, grid.step, u1, u2, grid.n_points - 1)
@@ -277,15 +298,20 @@ def solve_bound_state(
     """Find the bound state with the requested interior node count.
 
     The interior node count of the outward sweep steps by one exactly at
-    each eigenvalue of the r_max-truncated problem. Bisection on that count
-    runs only until the bracket holds the requested state alone (counts
-    target and target + 1 at its ends). Cooley corrections from the bracket
-    midpoint then converge to the eigenvalue; one that leaves the bracket
-    is replaced by a bisection step. The search stops when a correction
-    moves the energy by less than ENERGY_TOL or the bracket is narrower
-    than that, and raises ConvergenceError after MAX_BISECTIONS steps. The
-    returned state is assembled from matched outward/inward sweeps and
-    normalized.
+    each eigenvalue of the r_max-truncated problem. Without an
+    ``energy_bracket``, a level the potential knows (``potential.levels``)
+    is bracketed symmetrically, out to half the distance to its nearest
+    neighbouring level (or to threshold for the top level); when the node
+    counts at the ends are not target and target + 1 the search widens to
+    :func:`default_energy_bracket`. Bisection on that count runs only until
+    the bracket holds the requested state alone (counts target and
+    target + 1 at its ends). Cooley corrections from the bracket midpoint,
+    the known level if there is one, then converge to the eigenvalue; one
+    that leaves the bracket is replaced by a bisection step. The search
+    stops when a correction moves the energy by less than ENERGY_TOL or the
+    bracket is narrower than that, and raises ConvergenceError after
+    MAX_BISECTIONS steps. The returned state is assembled from matched
+    outward/inward sweeps and normalized.
     """
     if target_nodes < 0:
         raise DomainError(f"target_nodes must be >= 0, got {target_nodes}")
@@ -295,14 +321,22 @@ def solve_bound_state(
     p = origin_power(potential)
     h = g.step
 
-    elo, ehi = energy_bracket if energy_bracket is not None else default_energy_bracket(
-        potential, channel, g
-    )
-    if not elo < ehi < 0.0:
-        raise BracketError(f"invalid energy bracket ({elo}, {ehi})")
+    def end_counts(bracket):
+        return tuple(_outward_node_count((v - e) / c, p, g) for e in bracket)
 
-    count_lo = _outward_node_count((v - elo) / c, p, g)
-    count_hi = _outward_node_count((v - ehi) / c, p, g)
+    bracket = None if energy_bracket is not None else _known_level_bracket(potential, target_nodes)
+    if bracket is not None:
+        counts = end_counts(bracket)
+        if counts != (target_nodes, target_nodes + 1):
+            bracket = None    # the level is not where it was said to be: widen
+    if bracket is None:
+        bracket = energy_bracket if energy_bracket is not None else default_energy_bracket(
+            potential, channel, g
+        )
+        if not bracket[0] < bracket[1] < 0.0:
+            raise BracketError("invalid energy bracket ({}, {})".format(*bracket))
+        counts = end_counts(bracket)
+    (elo, ehi), (count_lo, count_hi) = bracket, counts
     if not (count_lo <= target_nodes < count_hi):
         raise BracketError(
             f"bracket ({elo:.6g}, {ehi:.6g}) MeV does not straddle the n={target_nodes} "

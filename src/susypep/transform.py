@@ -128,7 +128,8 @@ def build_intermediate(
     ell = p - 1.0
     c_sing = (ell + 1.0) * (ell + 2.0)
     v2 = _with_origin_law(v2, c_sing, c, g)
-    return Tabulated(grid=g, values=v2, singular_coefficient=c_sing, hbar2_over_2mu=c)
+    return Tabulated(grid=g, values=v2, singular_coefficient=c_sing, hbar2_over_2mu=c,
+                     levels=source.levels[1:])
 
 
 def _cumulative_norm(ground: BoundState, y: np.ndarray, p_source: float) -> np.ndarray:
@@ -162,7 +163,8 @@ def build_pep(
     ell = p - 1.0
     c_sing = (ell + 2.0) * (ell + 3.0)
     v3 = _with_origin_law(v3, c_sing, c, g)
-    return Tabulated(grid=g, values=v3, singular_coefficient=c_sing, hbar2_over_2mu=c)
+    return Tabulated(grid=g, values=v3, singular_coefficient=c_sing, hbar2_over_2mu=c,
+                     levels=source.levels[1:])
 
 
 def build_pep_via_intermediate(
@@ -196,7 +198,8 @@ def build_pep_via_intermediate(
     ell = p - 1.0
     c_sing = (ell + 2.0) * (ell + 3.0)
     v3 = _with_origin_law(v3, c_sing, c, g)
-    return Tabulated(grid=g, values=v3, singular_coefficient=c_sing, hbar2_over_2mu=c)
+    return Tabulated(grid=g, values=v3, singular_coefficient=c_sing, hbar2_over_2mu=c,
+                     levels=source.levels[1:])
 
 
 def remove_lowest(

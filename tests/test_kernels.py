@@ -104,13 +104,24 @@ def test_backends_agree_on_rescaled_sweep():
     assert min(_assert_bit_identical(_numerov_cy, _RESCALED_SWEEPS)) > 0.0
 
 
-@needs_compiled
+@pytest.mark.parametrize("backend", ["python", pytest.param("compiled", marks=needs_compiled)])
 @pytest.mark.parametrize(
     "name, stop", [("sweep_outward", 0), ("sweep_outward", 12), ("sweep_inward", -1), ("sweep_inward", 11)]
 )
-def test_compiled_sweep_rejects_stop_outside_the_grid(name, stop):
+def test_sweep_rejects_stop_outside_the_grid(backend, name, stop):
+    impl = _numerov_py if backend == "python" else _numerov_cy
     with pytest.raises(ValueError, match="out of range"):
-        _sweep(_numerov_cy, name, np.zeros(12), 0.01, 1.0, 1.0, stop)
+        _sweep(impl, name, np.zeros(12), 0.01, 1.0, 1.0, stop)
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("compiled", marks=needs_compiled)])
+def test_nan_never_triggers_a_rescale(backend):
+    impl = _numerov_py if backend == "python" else _numerov_cy
+    f = np.zeros(12)
+    f[5] = np.nan
+    u, log_scale = impl.sweep_outward(f, 0.01, 1.0, 1.0, 11)
+    assert log_scale == 0.0
+    assert np.isfinite(u[:5]).all() and np.isnan(u[5:]).all()
 
 
 def _reference_inward(f, h, u_last, u_second_last, stop):

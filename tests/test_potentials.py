@@ -9,8 +9,10 @@ from susypep import (
     ChannelConstants,
     DomainError,
     NoSuchStateError,
+    RadialGrid,
     SechSquared,
     SuperpotentialPair,
+    Tabulated,
     a_from_depth,
     analytic_depth,
     analytic_levels,
@@ -50,6 +52,14 @@ def test_sech_squared_parameter_validation():
         SechSquared(0.9, 1.0, 41.47)   # no bound odd state
     with pytest.raises(DomainError):
         SechSquared(3.0, -1.0, 41.47)
+
+
+@pytest.mark.parametrize("levels", [(1.0,), (-1.0, -2.0), (-1.0, -1.0), (-math.inf,), (math.nan,)])
+def test_tabulated_levels_must_be_bound_energies_lowest_first(levels):
+    grid = RadialGrid(step=0.01, n_points=200)
+    assert Tabulated(grid, np.zeros(200), 0.0, 41.47, levels=(-2.0, -1.0)).levels == (-2.0, -1.0)
+    with pytest.raises(DomainError, match="levels"):
+        Tabulated(grid, np.zeros(200), 0.0, 41.47, levels=levels)
 
 
 # --- closed-form spectrum -----------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import warnings
@@ -25,7 +26,12 @@ from susypep import (
 )
 from susypep import analyze, get_preset, solver
 from susypep.potentials import values_on_grid
-from susypep.solver import _outward_node_count, numerov_first_derivative, origin_power
+from susypep.solver import (
+    _outward_node_count,
+    default_energy_bracket,
+    numerov_first_derivative,
+    origin_power,
+)
 
 CH_D = ChannelConstants(41.47, "n-p")
 CH_A = ChannelConstants(10.375, "alpha-alpha")
@@ -162,7 +168,9 @@ def test_solve_lands_on_the_node_count_step_for_be11_on_a_long_grid():
 
 
 @pytest.mark.parametrize("chain_name", CHAINS)
-def test_solve_sweeps_at_most_sixteen_grid_lengths(chain_name, request, monkeypatch):
+def test_solve_sweeps_at_most_six_grid_lengths(chain_name, request, monkeypatch):
+    # every chain level is known (closed form, or the source's minus the removed
+    # one), so a solve is two end probes, two corrections and the assembly
     chain = request.getfixturevalue(chain_name)
     steps = [0]
 
@@ -178,7 +186,41 @@ def test_solve_sweeps_at_most_sixteen_grid_lengths(chain_name, request, monkeypa
     for pot, n in _chain_problems(chain):
         steps[0] = 0
         solve_bound_state(pot, chain.channel, n, grid=chain.grid)
-        assert steps[0] <= 16 * chain.grid.n_points, (pot, n)
+        assert steps[0] <= 6 * chain.grid.n_points, (pot, n)
+
+
+@pytest.mark.parametrize("chain_name", CHAINS)
+def test_known_level_start_agrees_with_the_default_bracket(chain_name, request):
+    chain = request.getfixturevalue(chain_name)
+    g, ch = chain.grid, chain.channel
+    for pot, n in _chain_problems(chain):
+        assert pot.levels, pot
+        wide = solve_bound_state(pot, ch, n, grid=g,
+                                 energy_bracket=default_energy_bracket(pot, ch, g))
+        assert solve_bound_state(pot, ch, n, grid=g).energy == pytest.approx(wide.energy,
+                                                                             abs=1e-10)
+
+
+@pytest.mark.parametrize("chain_name", CHAINS)
+def test_wrong_known_levels_widen_to_the_default_bracket(chain_name, request, monkeypatch):
+    # each partner level moved down onto its neighbour, the source level below it
+    chain = request.getfixturevalue(chain_name)
+    widened = []
+
+    def spy(*args):
+        widened.append(args)
+        return default_energy_bracket(*args)
+
+    monkeypatch.setattr(solver, "default_energy_bracket", spy)
+    for rec, state in ((chain.rec2, chain.v2_state), (chain.rec3, chain.v3_state)):
+        good = rec.result
+        wrong = dataclasses.replace(good, levels=chain.potential.levels[:len(good.levels)])
+        assert wrong.levels != good.levels
+        widened.clear()
+        got = solve_bound_state(wrong, chain.channel, 0, grid=chain.grid)
+        assert len(widened) == 1
+        assert got.energy == pytest.approx(state.energy, abs=1e-8)
+        assert np.max(np.abs(got.u - state.u)) < 1e-6
 
 
 @pytest.mark.parametrize("rejected", [0.0, math.nan])

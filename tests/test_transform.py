@@ -7,8 +7,10 @@ from susypep import (
     SechSquared,
     analytic_levels,
     build_intermediate,
+    build_pep_via_intermediate,
     count_bound_states,
     iterate_removals,
+    level_count,
     remove_lowest,
     solve_bound_state,
 )
@@ -203,10 +205,24 @@ def test_alpha_double_removal_preserves_remaining_level(alpha_chain):
     assert len(records) == 4
     final = records[-1].result
     assert final.singular_coefficient == pytest.approx(20.0)   # l_eff 0 -> 2 -> 4
+    assert final.levels == alpha_chain.potential.levels[2:]
     remaining = solve_bound_state(final, CH_A, target_nodes=0, grid=alpha_chain.grid)
     expected = analytic_levels(5.945, 0.535, CH_A, 2)
     assert remaining.energy == pytest.approx(expected, abs=1e-3)
     assert count_bound_states(final, CH_A) == 1
+
+
+@pytest.mark.parametrize("chain_name", ["deuteron_chain", "be11_chain", "alpha_chain"])
+def test_partners_know_the_source_spectrum_minus_the_removed_level(chain_name, request):
+    chain = request.getfixturevalue(chain_name)
+    deep = chain.potential
+    assert deep.levels == tuple(
+        analytic_levels(chain.a_tilde, chain.beta, chain.channel, n)
+        for n in range(level_count(chain.a_tilde))
+    )
+    for rec in chain.records:
+        assert rec.result.levels == rec.source.levels[1:]
+    assert build_pep_via_intermediate(deep, chain.ground, chain.channel).levels == deep.levels[1:]
 
 
 def test_singular_coefficient_ladder(alpha_chain):

@@ -29,6 +29,8 @@ COMMANDS = [["fit"], ["spectrum"], ["partner"], ["partner", "--removals", "2"],
             ["phase"], ["phase", "--emin", "1", "--emax", "4", "--estep", "1"],
             ["transfer-ratio"]]
 GRIDS = [[], ["--step", "0.005", "--rmax", "100"]]
+CASES = [command + ["--preset", preset] + grid
+         for preset in ("deuteron", "be11", "alpha") for grid in GRIDS for command in COMMANDS]
 
 
 def sha(data: bytes) -> str:
@@ -49,7 +51,5 @@ def digest(argv: list[str]) -> str:
 
 if __name__ == "__main__":
     print(f"backend {BACKEND}")
-    for preset in ("deuteron", "be11", "alpha"):
-        for grid in GRIDS:
-            for command in COMMANDS:
-                print(digest(command + ["--preset", preset] + grid), flush=True)
+    for argv in CASES:
+        print(digest(argv), flush=True)

@@ -1,0 +1,88 @@
+"""Print how far the numbers two trees' CLIs write lie apart, case by case.
+
+    python tools/cli_numdiff.py OLD_TREE NEW_TREE
+
+Each of the 54 cases of ``cli_digests.py`` runs once per tree, as
+``python -m susypep.cli`` in a subprocess with that tree's ``src`` as
+PYTHONPATH (``SUSYPEP_PURE_PYTHON`` is passed through). For stdout,
+stderr and every written file but the checksum manifest, one line gives
+the count of numbers, the largest relative deviation over the pairs with
+|x| > 1e-3 and the largest absolute deviation over the rest. A summary of
+the largest deviations per file name follows. The exit status is 1 when a
+case's exit code or file list differs, or a file's count of numbers or
+its text between the numbers, else 0.
+"""
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from cli_digests import CASES
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:NaN|nan|Infinity|inf)")
+SMALL = 1e-3
+
+
+def run(tree: Path, argv: list[str]) -> tuple[int, dict[str, str]]:
+    """Exit code and {name: text} of stdout, stderr and the written files."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run([sys.executable, "-m", "susypep.cli", *argv, "--out", tmp],
+                              capture_output=True, text=True, env=env, cwd=tmp)
+        texts = {"stdout": proc.stdout, "stderr": proc.stderr}
+        for path in sorted(Path(tmp).rglob("*")):
+            if path.is_file() and path.name != "manifest.json":
+                texts[str(path.relative_to(tmp))] = path.read_text()
+    return proc.returncode, texts
+
+
+def deviation(old: str, new: str) -> tuple[int, float, float] | None:
+    """(count, largest relative, largest absolute deviation), or None if the files differ in shape."""
+    a, b = NUMBER.findall(old), NUMBER.findall(new)
+    if len(a) != len(b) or NUMBER.split(old) != NUMBER.split(new):
+        return None
+    rel = absolute = 0.0
+    for x, y in zip(map(float, a), map(float, b)):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        if max(abs(x), abs(y)) > SMALL:
+            rel = max(rel, abs(y - x) / abs(x) if x else math.inf)
+        else:
+            absolute = max(absolute, abs(y - x))
+    return len(a), rel, absolute
+
+
+def main(old_tree: str, new_tree: str) -> int:
+    failed = False
+    worst: dict[str, tuple[float, float]] = {}
+    for argv in CASES:
+        label = " ".join(argv)
+        (code_old, old), (code_new, new) = run(Path(old_tree), argv), run(Path(new_tree), argv)
+        if code_old != code_new or old.keys() != new.keys():
+            print(f"{label}: exit {code_old} -> {code_new}, files {sorted(old)} -> {sorted(new)}")
+            failed = True
+            continue
+        for name in old:
+            dev = deviation(old[name], new[name])
+            if dev is None:
+                print(f"{label}: {name} differs in its count of numbers or its text")
+                failed = True
+                continue
+            count, rel, absolute = dev
+            print(f"{label}: {name} n={count} rel={rel:.2g} abs={absolute:.2g}", flush=True)
+            key = re.sub(r"_(deuteron|be11|alpha)\.", ".", name)
+            w_rel, w_abs = worst.get(key, (0.0, 0.0))
+            worst[key] = (max(w_rel, rel), max(w_abs, absolute))
+    print("largest deviation per file:")
+    for key, (rel, absolute) in sorted(worst.items()):
+        print(f"  {key}: rel={rel:.2g} (|x| > {SMALL:g}) abs={absolute:.2g} (|x| <= {SMALL:g})")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(main(*sys.argv[1:]))
