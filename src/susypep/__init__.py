@@ -40,14 +40,10 @@ from .pipeline import ChainResult, analyze
 from .potentials import (
     PotentialModel,
     SechSquared,
-    SuperpotentialPair,
     Tabulated,
-    a_from_depth,
     analytic_depth,
     analytic_levels,
-    depth_from_a,
     level_count,
-    shape_invariance_residual,
 )
 from .solver import (
     BoundState,

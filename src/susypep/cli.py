@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import dataclass
 
@@ -46,9 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rmax", type=float, default=DEFAULT_R_MAX, metavar="FM")
         p.add_argument("--out", metavar="DIR", help="output directory")
         p.add_argument("--format", choices=["csv", "json", "both"], default="both")
-        p.add_argument("--emin", type=float, metavar="MEV")
-        p.add_argument("--emax", type=float, metavar="MEV")
-        p.add_argument("--estep", type=float, metavar="MEV")
         p.add_argument("-v", "--verbose", action="store_true")
 
     for name, help_text in [
@@ -63,6 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p)
         if name == "partner":
             p.add_argument("--removals", type=int, default=1, metavar="K")
+        if name in ("report", "phase"):
+            for flag in ("--emin", "--emax", "--estep"):
+                p.add_argument(flag, type=float, metavar="MEV")
 
     return parser
 
@@ -90,6 +91,11 @@ class RunConfig:
         else:
             raise ConfigError("one of --preset or --config is required")
 
+        bounds = [getattr(args, name, None) for name in ("emin", "emax", "estep")]
+        for flag, value in zip(("--step", "--rmax", "--emin", "--emax", "--estep"),
+                               [args.step, args.rmax] + bounds):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{flag} must be finite, got {value}")
         if args.step <= 0 or args.rmax <= 0:
             raise ConfigError("--step and --rmax must be positive")
         try:
@@ -100,15 +106,15 @@ class RunConfig:
         if removals < 0:
             raise ConfigError(f"--removals must be >= 0, got {removals}")
 
-        given = [x is not None for x in (args.emin, args.emax, args.estep)]
         sweep = None
-        if any(given):
-            if not all(given):
+        if any(x is not None for x in bounds):
+            if None in bounds:
                 raise ConfigError("--emin, --emax and --estep must be given together")
-            if args.emin <= 0 or args.emax <= args.emin or args.estep <= 0:
+            emin, emax, estep = bounds
+            if emin <= 0 or emax <= emin or estep <= 0:
                 raise ConfigError("sweep bounds must be positive and ordered")
-            n = int(round((args.emax - args.emin) / args.estep))
-            sweep = args.emin + args.estep * np.arange(0, n + 1)
+            n = int(round((emax - emin) / estep))
+            sweep = emin + estep * np.arange(0, n + 1)
 
         return cls(
             preset=preset,

@@ -64,6 +64,8 @@ class SystemPreset:
             raise DomainError(f"target energy must be < 0, got {self.target_energy}")
         if self.target_rms is not None and not self.target_rms > 0.0:
             raise DomainError(f"target rms must be > 0, got {self.target_rms}")
+        if self.physical_node_count < 0:
+            raise DomainError(f"node count must be >= 0, got {self.physical_node_count}")
         if self.coordinate_factor not in ("quarter", "unit"):
             raise DomainError("coordinate_factor must be 'quarter' or 'unit'")
 

@@ -21,13 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .grids import ChannelConstants, RadialGrid, integrate
 from .potentials import PotentialModel, values_on_grid
-from .solver import (
-    BoundState,
-    _grid_for,
-    _series_start,
-    count_bound_states,
-    origin_power,
-)
+from .solver import BoundState, _outward_node_count, _series_start, resolve
 from . import _kernels
 
 log = logging.getLogger(__name__)
@@ -150,11 +144,8 @@ def phase_shift(
     """
     if energy <= 0.0:
         raise DomainError(f"scattering energy must be > 0, got {energy}")
-    g = _grid_for(potential, grid)
-    v = values_on_grid(potential, g)
-    mi = _match_index(v, g, r_match)
-    c, p = channel.hbar2_over_2mu, origin_power(potential)
-    return _free_wave_phases(v, [energy], c, p, g, mi)[0]
+    v, c, p, g = resolve(potential, channel, grid)
+    return _free_wave_phases(v, [energy], c, p, g, _match_index(v, g, r_match))[0]
 
 
 @dataclass(frozen=True)
@@ -203,13 +194,10 @@ def phase_shift_curve(
         raise DomainError("energy sweep is empty")
     if np.any(e <= 0.0):
         raise DomainError(f"scattering energies must be > 0, got {e[e <= 0.0][0]}")
-    g = _grid_for(potential, grid)
-    v = values_on_grid(potential, g)
-    mi = _match_index(v, g, r_match)
-    raw = _free_wave_phases(v, e, channel.hbar2_over_2mu, origin_power(potential), g, mi)
-    n_bound = count_bound_states(potential, channel, grid=grid)
+    v, c, p, g = resolve(potential, channel, grid)
+    raw = _free_wave_phases(v, e, c, p, g, _match_index(v, g, r_match))
     deltas = np.empty_like(raw)
-    anchor = n_bound * math.pi
+    anchor = _outward_node_count(v / c, p, g) * math.pi   # bound states at threshold
     deltas[0] = raw[0] + math.pi * round((anchor - raw[0]) / math.pi)
     for j in range(1, raw.size):
         deltas[j] = raw[j] + math.pi * round((deltas[j - 1] - raw[j]) / math.pi)
@@ -254,8 +242,7 @@ def zero_range_strength(
         )
     d0 = math.sqrt(4.0 * math.pi) * integrate(integrand, g)
     if provenance is None:
-        singular = getattr(potential_np, "singular_coefficient", 0.0)
-        provenance = "pep" if singular > 0.0 else "deep"
+        provenance = "pep" if potential_np.singular_coefficient > 0.0 else "deep"
     return TransferStrength(d0=d0, provenance=provenance)
 
 

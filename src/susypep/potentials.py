@@ -170,68 +170,3 @@ def level_count(a_tilde: float) -> int:
         n_max += 1
     return n_max + 1
 
-
-# --- superpotential algebra --------------------------------------------------
-
-@dataclass(frozen=True)
-class SuperpotentialPair:
-    """W(r) = A tanh(beta r) and its two partner potentials.
-
-    ``a_strength`` is A in MeV^(1/2); the natural step of the shape-invariance
-    ladder is b = beta * sqrt(hbar^2/2mu).
-    """
-
-    a_strength: float
-    beta: float
-    hbar2_over_2mu: float
-
-    def __post_init__(self):
-        if not self.a_strength > 0.0:
-            raise DomainError(f"A must be > 0, got {self.a_strength}")
-
-    @property
-    def b_step(self) -> float:
-        return self.beta * math.sqrt(self.hbar2_over_2mu)
-
-    def w(self, r):
-        return self.a_strength * np.tanh(self.beta * np.asarray(r, dtype=float))
-
-    def v1(self, r):
-        a, b = self.a_strength, self.b_step
-        return a * a - a * (a + b) * sech(self.beta * np.asarray(r, dtype=float)) ** 2
-
-    def v2(self, r):
-        a, b = self.a_strength, self.b_step
-        return a * a - a * (a - b) * sech(self.beta * np.asarray(r, dtype=float)) ** 2
-
-
-def depth_from_a(a_strength: float, beta: float, channel: ChannelConstants) -> float:
-    """V0 = A (A + b) with b = beta sqrt(c)."""
-    b = beta * math.sqrt(channel.hbar2_over_2mu)
-    return a_strength * (a_strength + b)
-
-
-def a_from_depth(depth: float, beta: float, channel: ChannelConstants) -> float:
-    """Positive root A of A(A + b) = V0: A = (-b + sqrt(b^2 + 4 V0)) / 2."""
-    if depth < 0.0:
-        raise DomainError(f"depth must be >= 0, got {depth}")
-    b = beta * math.sqrt(channel.hbar2_over_2mu)
-    return 0.5 * (-b + math.sqrt(b * b + 4.0 * depth))
-
-
-def shape_invariance_residual(
-    a_strength: float, beta: float, channel: ChannelConstants, r
-) -> float:
-    """Pointwise residual of the shape-invariance identity, MeV.
-
-    V2(r; A) - V1(r; A - b) - [A^2 - (A - b)^2] vanishes identically for the
-    tanh superpotential; the return value is the rounding-level remainder.
-    """
-    b = beta * math.sqrt(channel.hbar2_over_2mu)
-    if a_strength <= b:
-        raise DomainError(f"A={a_strength} must exceed the ladder step b={b}")
-    pair = SuperpotentialPair(a_strength, beta, channel.hbar2_over_2mu)
-    shifted = SuperpotentialPair(a_strength - b, beta, channel.hbar2_over_2mu)
-    remainder = a_strength**2 - (a_strength - b) ** 2
-    out = pair.v2(r) - shifted.v1(r) - remainder
-    return float(out) if np.isscalar(r) else out

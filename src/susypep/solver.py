@@ -121,20 +121,28 @@ def node_positions(u, grid: RadialGrid) -> np.ndarray:
 
 def origin_power(potential: PotentialModel) -> float:
     """Exponent p of the regular solution, p = 1 + l_eff."""
-    c_sing = getattr(potential, "singular_coefficient", 0.0)
-    return 1.0 + 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * c_sing))
+    return 1.0 + 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * potential.singular_coefficient))
 
 
-def _check_channel(potential: PotentialModel, channel: ChannelConstants) -> float:
-    carried = getattr(potential, "hbar2_over_2mu", None)
-    if carried is not None and not math.isclose(
-        carried, channel.hbar2_over_2mu, rel_tol=1e-12
-    ):
+def resolve(
+    potential: PotentialModel, channel: ChannelConstants, grid: RadialGrid | None = None
+) -> tuple[np.ndarray, float, float, RadialGrid]:
+    """(v, c, p, grid): the potential sampled on its grid, in its channel.
+
+    The one place a potential meets a channel and a mesh. Raises
+    DomainError when the potential's own hbar2_over_2mu is not the
+    channel's. The grid is the given one, else a ``Tabulated``'s own, else
+    :func:`default_grid`; a ``Tabulated`` off its own grid is rejected by
+    ``values_on_grid``. c is hbar^2/2mu and p the origin power.
+    """
+    c = channel.hbar2_over_2mu
+    if not math.isclose(potential.hbar2_over_2mu, c, rel_tol=1e-12):
         raise DomainError(
-            f"potential carries hbar2_over_2mu={carried} but channel has "
-            f"{channel.hbar2_over_2mu}"
+            f"potential carries hbar2_over_2mu={potential.hbar2_over_2mu} but channel has {c}"
         )
-    return channel.hbar2_over_2mu
+    if grid is None:
+        grid = potential.grid if isinstance(potential, Tabulated) else default_grid()
+    return values_on_grid(potential, grid), c, origin_power(potential), grid
 
 
 def _series_coefficients(f: np.ndarray, p: float, grid: RadialGrid):
@@ -192,14 +200,6 @@ def numerov_first_derivative(
     return du
 
 
-def _grid_for(potential: PotentialModel, grid: RadialGrid | None) -> RadialGrid:
-    if grid is not None:
-        return grid
-    if isinstance(potential, Tabulated):
-        return potential.grid
-    return default_grid()
-
-
 def default_energy_bracket(
     potential: PotentialModel, channel: ChannelConstants, grid: RadialGrid | None = None
 ) -> tuple[float, float]:
@@ -207,8 +207,7 @@ def default_energy_bracket(
     if isinstance(potential, SechSquared):
         depth = potential.depth
     else:
-        g = _grid_for(potential, grid)
-        depth = max(0.0, -float(np.min(values_on_grid(potential, g))))
+        depth = max(0.0, -float(np.min(resolve(potential, channel, grid)[0])))
     return (-1.05 * depth, -1e-6)
 
 
@@ -315,10 +314,7 @@ def solve_bound_state(
     """
     if target_nodes < 0:
         raise DomainError(f"target_nodes must be >= 0, got {target_nodes}")
-    c = _check_channel(potential, channel)
-    g = _grid_for(potential, grid)
-    v = values_on_grid(potential, g)
-    p = origin_power(potential)
+    v, c, p, g = resolve(potential, channel, grid)
     h = g.step
 
     def end_counts(bracket):
@@ -414,10 +410,7 @@ def solve_at_energy(
     """
     if energy == 0.0:
         raise DomainError("energy must be nonzero; use count_bound_states for the E=0 probe")
-    c = _check_channel(potential, channel)
-    g = _grid_for(potential, grid)
-    v = values_on_grid(potential, g)
-    p = origin_power(potential)
+    v, c, p, g = resolve(potential, channel, grid)
     f = (v - energy) / c
     u1, u2 = _series_start(f, p, g)
     u, log_scale = _kernels.sweep_outward(f, g.step, u1, u2, g.n_points - 1)
@@ -435,10 +428,7 @@ def count_bound_states(
     potential: PotentialModel, channel: ChannelConstants, grid: RadialGrid | None = None
 ) -> int:
     """Number of bound states = interior nodes of the zero-energy regular solution."""
-    c = _check_channel(potential, channel)
-    g = _grid_for(potential, grid)
-    v = values_on_grid(potential, g)
-    p = origin_power(potential)
+    v, c, p, g = resolve(potential, channel, grid)
     return _outward_node_count(v / c, p, g)
 
 

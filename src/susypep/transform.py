@@ -28,12 +28,12 @@ import numpy as np
 
 from .errors import DomainError
 from .grids import ChannelConstants, RadialGrid
-from .potentials import PotentialModel, Tabulated, values_on_grid
+from .potentials import PotentialModel, Tabulated
 from .solver import (
     BoundState,
     count_bound_states,
     numerov_first_derivative,
-    origin_power,
+    resolve,
     series_log_derivative,
     solve_at_energy,
     solve_bound_state,
@@ -106,30 +106,41 @@ def _with_origin_law(v: np.ndarray, c_sing: float, c: float, grid: RadialGrid) -
     return out
 
 
-def _require_nodeless(ground: BoundState):
+def _resolve_source(source: PotentialModel, ground: BoundState, channel: ChannelConstants):
+    """(v1, c, p, y): the source on the ground state's grid and u0'/u0 there.
+
+    The ground state must be the nodeless lowest state: the log-derivative
+    construction divides by it.
+    """
     if ground.nodes != 0:
         raise DomainError(
             f"state to remove has {ground.nodes} interior nodes; the log-derivative "
             "construction needs the nodeless lowest state"
         )
+    v1, c, p, _ = resolve(source, channel, ground.grid)
+    return v1, c, p, _ground_log_derivative(ground, v1, p, c)
+
+
+def _partner(source: PotentialModel, values: np.ndarray, p: float, shift: float, c: float,
+             grid: RadialGrid) -> Tabulated:
+    """``values`` as the partner of ``source``: the source's levels minus the lowest.
+
+    Its l_eff is the source's plus ``shift``, so its origin law is
+    c_sing c / r^2 with c_sing = l_eff (l_eff + 1).
+    """
+    ell = p - 1.0
+    c_sing = (ell + shift) * (ell + (shift + 1.0))
+    return Tabulated(grid=grid, values=_with_origin_law(values, c_sing, c, grid),
+                     singular_coefficient=c_sing, hbar2_over_2mu=c, levels=source.levels[1:])
 
 
 def build_intermediate(
     source: PotentialModel, ground: BoundState, channel: ChannelConstants
 ) -> Tabulated:
     """One-step partner: same spectrum as the source minus the ground state."""
-    _require_nodeless(ground)
-    c = channel.hbar2_over_2mu
-    g = ground.grid
-    v1 = values_on_grid(source, g)
-    p = origin_power(source)
-    y = _ground_log_derivative(ground, v1, p, c)
+    v1, c, p, y = _resolve_source(source, ground, channel)
     v2 = -v1 + 2.0 * ground.energy + 2.0 * c * y * y
-    ell = p - 1.0
-    c_sing = (ell + 1.0) * (ell + 2.0)
-    v2 = _with_origin_law(v2, c_sing, c, g)
-    return Tabulated(grid=g, values=v2, singular_coefficient=c_sing, hbar2_over_2mu=c,
-                     levels=source.levels[1:])
+    return _partner(source, v2, p, 1.0, c, ground.grid)
 
 
 def _cumulative_norm(ground: BoundState, y: np.ndarray, p_source: float) -> np.ndarray:
@@ -148,23 +159,13 @@ def build_pep(
     source: PotentialModel, ground: BoundState, channel: ChannelConstants
 ) -> Tabulated:
     """Phase-equivalent partner from the integral form (production path)."""
-    _require_nodeless(ground)
-    c = channel.hbar2_over_2mu
-    g = ground.grid
-    v1 = values_on_grid(source, g)
-    p = origin_power(source)
-    y = _ground_log_derivative(ground, v1, p, c)
+    v1, c, p, y = _resolve_source(source, ground, channel)
     cum = _cumulative_norm(ground, y, p)
     dens = ground.u * ground.u
     ratio = dens / cum
     # (ln I)'' = 2 u u'/I - (u^2/I)^2, with u' = y u
     ln_cum_dd = 2.0 * dens * y / cum - ratio * ratio
-    v3 = v1 - 2.0 * c * ln_cum_dd
-    ell = p - 1.0
-    c_sing = (ell + 2.0) * (ell + 3.0)
-    v3 = _with_origin_law(v3, c_sing, c, g)
-    return Tabulated(grid=g, values=v3, singular_coefficient=c_sing, hbar2_over_2mu=c,
-                     levels=source.levels[1:])
+    return _partner(source, v1 - 2.0 * c * ln_cum_dd, p, 2.0, c, ground.grid)
 
 
 def build_pep_via_intermediate(
@@ -180,26 +181,15 @@ def build_pep_via_intermediate(
     Uses V3 = V1 + 2 c (y2^2 - y1^2) with y_i the log-derivatives of the
     source ground state and of the V2 regular solution at the removed energy.
     """
-    _require_nodeless(ground)
-    c = channel.hbar2_over_2mu
+    v1, c, p, y1 = _resolve_source(source, ground, channel)
     g = ground.grid
-    v1 = values_on_grid(source, g)
-    p = origin_power(source)
-    y1 = _ground_log_derivative(ground, v1, p, c)
-
     v2 = intermediate if intermediate is not None else build_intermediate(source, ground, channel)
     psi2 = solve_at_energy(v2, channel, ground.energy, grid=g)
-    f2 = (values_on_grid(v2, g) - ground.energy) / c
+    f2 = (v2.values - ground.energy) / c
     y_left = series_log_derivative(f2, psi2.origin_power, g)
     du2 = numerov_first_derivative(psi2.u, f2, g.step, y_left=y_left, y_right=ground.kappa)
     y2 = du2 / psi2.u
-
-    v3 = v1 + 2.0 * c * (y2 * y2 - y1 * y1)
-    ell = p - 1.0
-    c_sing = (ell + 2.0) * (ell + 3.0)
-    v3 = _with_origin_law(v3, c_sing, c, g)
-    return Tabulated(grid=g, values=v3, singular_coefficient=c_sing, hbar2_over_2mu=c,
-                     levels=source.levels[1:])
+    return _partner(source, v1 + 2.0 * c * (y2 * y2 - y1 * y1), p, 2.0, c, g)
 
 
 def remove_lowest(

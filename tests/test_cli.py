@@ -186,6 +186,37 @@ def test_partial_sweep_flags_are_config_error(capsys):
     assert "together" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["phase", "--rmax", "nan"],
+    ["phase", "--rmax", "inf"],
+    ["spectrum", "--step", "nan"],
+    ["report", "--emin", "1", "--emax", "inf", "--estep", "0.5"],
+    ["phase", "--emin", "1", "--emax", "3", "--estep", "nan"],
+    ["report", "--emin=-inf", "--emax", "3", "--estep", "0.5"],
+])
+def test_non_finite_numbers_are_config_errors(argv, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "analyze", lambda *a, **kw: pytest.fail("solved before validating"))
+    assert run(argv + ["--preset", "deuteron"]) == 3
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "spectrum", "partner", "report", "phase",
+                                     "transfer-ratio"])
+def test_negative_node_count_in_a_config_file_is_config_error(command, tmp_path, capsys):
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text("name = custom\nhbar2_over_2mu = 41.47\ntarget_energy = -2.226\n"
+                   "target_rms = 1.95\nnodes = -1\ncoordinate_factor = quarter\n")
+    assert run([command, "--config", str(cfg)]) == 3
+    assert "node count must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "spectrum", "partner", "transfer-ratio"])
+def test_sweep_flags_belong_to_report_and_phase_only(command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--preset", "deuteron", "--emin", "1", "--emax", "2", "--estep", "0.5"])
+    assert exc.value.code == 3
+
+
 def test_grid_too_short_is_config_error(capsys):
     code = run(["partner", "--preset", "deuteron", "--rmax", "0.5"])
     assert code == 3

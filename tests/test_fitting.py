@@ -202,6 +202,17 @@ def test_preset_validation():
         )
 
 
+def test_preset_rejects_a_negative_node_count(tmp_path):
+    with pytest.raises(DomainError, match="node count"):
+        SystemPreset(name="bad", channel=CH_D, target_energy=-2.226, target_rms=1.95,
+                     physical_node_count=-1, coordinate_factor="quarter")
+    path = tmp_path / "negative.cfg"
+    path.write_text("name = x\nhbar2_over_2mu = 41.47\ntarget_energy = -2.226\n"
+                    "target_rms = 1.95\nnodes = -1\ncoordinate_factor = quarter\n")
+    with pytest.raises(ConfigError, match="node count"):
+        load_preset_config(path)
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "system.cfg"
     path.write_text(

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from susypep import (
     ChannelConstants,
@@ -11,14 +9,10 @@ from susypep import (
     NoSuchStateError,
     RadialGrid,
     SechSquared,
-    SuperpotentialPair,
     Tabulated,
-    a_from_depth,
     analytic_depth,
     analytic_levels,
-    depth_from_a,
     level_count,
-    shape_invariance_residual,
 )
 
 CH_D = ChannelConstants(41.47, "n-p")
@@ -102,60 +96,3 @@ def test_level_count_examples():
     assert level_count(1.0) == 0
     assert level_count(3.0) == 1
 
-
-# --- superpotential algebra ---------------------------------------------------
-
-def test_depth_round_trip_deuteron():
-    v0 = analytic_depth(3.146, 1.587, CH_D)
-    a = a_from_depth(v0, 1.587, CH_D)
-    assert depth_from_a(a, 1.587, CH_D) == pytest.approx(v0, rel=1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    v0=st.floats(min_value=1e-3, max_value=1e5),
-    beta=st.floats(min_value=1e-2, max_value=10.0),
-)
-def test_depth_round_trip_property(v0, beta):
-    a = a_from_depth(v0, beta, CH_D)
-    assert depth_from_a(a, beta, CH_D) == pytest.approx(v0, rel=1e-12)
-
-
-def test_shape_invariance_residual_vanishes_for_deuteron():
-    a = 3.146 * 1.587 * math.sqrt(CH_D.hbar2_over_2mu)
-    v0 = analytic_depth(3.146, 1.587, CH_D)
-    for r in (0.1, 0.5, 1.0, 2.0, 5.0):
-        assert abs(shape_invariance_residual(a, 1.587, CH_D, r)) < 1e-10 * v0
-
-
-def test_shape_invariance_residual_alpha_at_1fm():
-    a = 5.945 * 0.535 * math.sqrt(CH_A.hbar2_over_2mu)
-    v0 = analytic_depth(5.945, 0.535, CH_A)
-    assert abs(shape_invariance_residual(a, 0.535, CH_A, 1.0)) < 1e-10 * v0
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    a_tilde=st.floats(min_value=1.5, max_value=12.0),
-    beta=st.floats(min_value=0.1, max_value=3.0),
-    r=st.floats(min_value=1e-3, max_value=20.0),
-)
-def test_shape_invariance_residual_r_independent_property(a_tilde, beta, r):
-    a = a_tilde * beta * math.sqrt(CH_D.hbar2_over_2mu)
-    v0 = analytic_depth(a_tilde, beta, CH_D)
-    assert abs(shape_invariance_residual(a, beta, CH_D, r)) < 1e-10 * max(v0, 1.0)
-
-
-def test_shape_invariance_requires_a_above_step():
-    b = 1.587 * math.sqrt(CH_D.hbar2_over_2mu)
-    with pytest.raises(DomainError):
-        shape_invariance_residual(0.5 * b, 1.587, CH_D, 1.0)
-
-
-def test_superpotential_pair_partner_difference():
-    pair = SuperpotentialPair(30.0, 1.0, CH_D.hbar2_over_2mu)
-    r = np.linspace(0.1, 5.0, 50)
-    # V1 - V2 = -2 A b sech^2(beta r), a pure sech^2 well
-    diff = pair.v1(r) - pair.v2(r)
-    expected = -2.0 * 30.0 * pair.b_step / np.cosh(r) ** 2
-    assert np.allclose(diff, expected, rtol=1e-12)

@@ -15,12 +15,17 @@ from susypep import (
     SechSquared,
     analytic_levels,
     analytic_pt_state,
+    build_intermediate,
+    build_pep,
+    build_pep_via_intermediate,
     count_bound_states,
     count_nodes,
     default_grid,
     integrate,
     level_count,
     node_positions,
+    phase_shift,
+    phase_shift_curve,
     solve_at_energy,
     solve_bound_state,
 )
@@ -31,6 +36,7 @@ from susypep.solver import (
     default_energy_bracket,
     numerov_first_derivative,
     origin_power,
+    resolve,
 )
 
 CH_D = ChannelConstants(41.47, "n-p")
@@ -247,6 +253,43 @@ def test_channel_mismatch_rejected():
     pot = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
     with pytest.raises(DomainError):
         solve_bound_state(pot, CH_A, target_nodes=0)
+
+
+MISMATCHED_CALLS = {
+    "phase_shift": lambda pot, ground, ch: phase_shift(pot, ch, 5.0),
+    "phase_shift_curve": lambda pot, ground, ch: phase_shift_curve(pot, ch, [1.0, 5.0]),
+    "solve_at_energy": lambda pot, ground, ch: solve_at_energy(pot, ch, -1.0),
+    "count_bound_states": lambda pot, ground, ch: count_bound_states(pot, ch),
+    "build_intermediate": lambda pot, ground, ch: build_intermediate(pot, ground, ch),
+    "build_pep": lambda pot, ground, ch: build_pep(pot, ground, ch),
+    "build_pep_via_intermediate":
+        lambda pot, ground, ch: build_pep_via_intermediate(pot, ground, ch),
+}
+
+
+@pytest.mark.parametrize("name", MISMATCHED_CALLS)
+def test_channel_mismatch_raises_before_any_sweep(name, monkeypatch):
+    # the deuteron well in the n-Be10 channel: at 5 MeV the phase shift would
+    # read -0.329 rad, not the deuteron's -1.362 rad
+    pot = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
+    ground = solve_bound_state(pot, CH_D, target_nodes=0)
+    for sweep in ("sweep_outward", "sweep_inward", "sweep_outward_batch"):
+        monkeypatch.setattr(solver._kernels, sweep,
+                            lambda *args: pytest.fail("swept before the channel check"))
+    with pytest.raises(DomainError, match="hbar2_over_2mu"):
+        MISMATCHED_CALLS[name](pot, ground, ChannelConstants(22.81, "n-Be10"))
+
+
+def test_resolve_samples_on_the_given_or_own_grid(deuteron_chain):
+    v3 = deuteron_chain.rec3.result
+    v, c, p, g = resolve(v3, CH_D)
+    assert g == v3.grid and c == CH_D.hbar2_over_2mu and p == 3.0
+    assert np.array_equal(v, v3.values)
+    v, _, p, g = resolve(deuteron_chain.potential, CH_D)
+    assert g == default_grid() and p == 1.0
+    assert np.array_equal(v, deuteron_chain.potential.evaluate(g.r))
+    finer = RadialGrid.from_extent(0.005, 35.0)
+    assert resolve(deuteron_chain.potential, CH_D, finer)[3] == finer
 
 
 def test_factorization_residual_of_ground_state(deuteron_chain):
