@@ -24,7 +24,6 @@ from .fitting import (
 )
 from .grids import ChannelConstants, RadialGrid, default_grid, integrate
 from .observables import (
-    ObservableReport,
     PhaseShiftCurve,
     TransferStrength,
     charge_radius,

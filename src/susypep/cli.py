@@ -2,6 +2,14 @@
 
 Subcommands: fit, spectrum, partner, report, phase, transfer-ratio.
 Exit codes: 0 success, 2 numerical/bracket failure, 3 configuration error.
+
+Each subcommand is one row of ``_COMMANDS``: its handler, its help text and
+the options it adds to the common ones; the parser is built from that table
+once, at import. A handler prints its summary and returns the files it
+produces as ``{name: content}``, a JSON payload for ``*.json`` and
+``(header, columns)`` for ``*.csv``. ``main`` alone writes them: under
+``--out`` it keeps the files whose type ``--format`` selects and records
+them in ``manifest.json``.
 """
 from __future__ import annotations
 
@@ -18,54 +26,10 @@ from .errors import ConfigError, DomainError, SusypepError
 from .fitting import SystemPreset, fit_parameters, get_preset, load_preset_config
 from .grids import DEFAULT_R_MAX, DEFAULT_STEP, RadialGrid
 from .io import OutputWriter
-from .observables import (
-    ObservableReport,
-    charge_radius,
-    matter_radius,
-    mod_pi_distance,
-    rms_radius,
-)
+from .observables import charge_radius, matter_radius, mod_pi_distance, rms_radius
 from .pipeline import analyze
 from .potentials import analytic_depth, analytic_levels, values_on_grid
 from .solver import solve_bound_state
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.exit(3, f"{self.prog}: error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="susypep", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"susypep {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--preset", choices=["deuteron", "be11", "alpha"])
-        p.add_argument("--config", metavar="PATH", help="key=value preset file")
-        p.add_argument("--step", type=float, default=DEFAULT_STEP, metavar="FM")
-        p.add_argument("--rmax", type=float, default=DEFAULT_R_MAX, metavar="FM")
-        p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--format", choices=["csv", "json", "both"], default="both")
-        p.add_argument("-v", "--verbose", action="store_true")
-
-    for name, help_text in [
-        ("fit", "determine (a_tilde, beta) from the preset's targets"),
-        ("spectrum", "analytic and numerical bound levels of the deep potential"),
-        ("partner", "build the intermediate and phase-equivalent partners"),
-        ("report", "radii, transfer strengths and optional phase curves"),
-        ("phase", "phase-shift curves for the deep potential and its partners"),
-        ("transfer-ratio", "zero-range strengths and the cross-section ratio"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        add_common(p)
-        if name == "partner":
-            p.add_argument("--removals", type=int, default=1, metavar="K")
-        if name in ("report", "phase"):
-            for flag in ("--emin", "--emax", "--estep"):
-                p.add_argument(flag, type=float, metavar="MEV")
-
-    return parser
 
 
 @dataclass(frozen=True)
@@ -74,9 +38,7 @@ class RunConfig:
 
     preset: SystemPreset
     grid: RadialGrid
-    out_dir: str | None
-    csv: bool
-    json: bool
+    formats: tuple[str, ...]     # file types to write, "csv" and/or "json"; () without --out
     sweep: np.ndarray | None
     removals: int = 1
 
@@ -116,18 +78,9 @@ class RunConfig:
             n = int(round((emax - emin) / estep))
             sweep = emin + estep * np.arange(0, n + 1)
 
-        return cls(
-            preset=preset,
-            grid=grid,
-            out_dir=args.out,
-            csv=args.format in ("csv", "both"),
-            json=args.format in ("json", "both"),
-            sweep=sweep,
-            removals=removals,
-        )
-
-    def writer(self) -> OutputWriter | None:
-        return OutputWriter(self.out_dir) if self.out_dir else None
+        formats = ("csv", "json") if args.format == "both" else (args.format,)
+        return cls(preset=preset, grid=grid, formats=formats if args.out else (), sweep=sweep,
+                   removals=removals)
 
 
 def _reference_pair_notes(preset: SystemPreset) -> list[str]:
@@ -145,7 +98,7 @@ def _reference_pair_notes(preset: SystemPreset) -> list[str]:
     ]
 
 
-def cmd_fit(cfg: RunConfig) -> int:
+def cmd_fit(cfg: RunConfig) -> dict:
     preset = cfg.preset
     if preset.fixed:
         raise ConfigError(
@@ -164,14 +117,10 @@ def cmd_fit(cfg: RunConfig) -> int:
     )
     for note in notes:
         print(f"  note: {note}")
-    writer = cfg.writer()
-    if writer:
-        writer.write_json(f"fit_{preset.name}.json", payload)
-        writer.finalize_manifest()
-    return 0
+    return {f"fit_{preset.name}.json": payload}
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: RunConfig) -> dict:
     preset = cfg.preset
     chain = analyze(preset, cfg.grid, removals=0)
     a_tilde, beta, channel = chain.a_tilde, chain.beta, chain.channel
@@ -186,83 +135,65 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             f"  n={n}: analytic {e_analytic: .6f} MeV, numerical {state.energy: .6f} MeV,"
             f" nodes={state.nodes}"
         )
-    writer = cfg.writer()
-    if writer:
-        payload = {
-            "system": preset.name,
-            "a_tilde": a_tilde,
-            "beta_per_fm": beta,
-            "depth_MeV": depth,
-            "levels": levels,
-        }
-        if chain.fit is not None:
-            payload["fit"] = chain.fit.to_dict()
-        writer.write_json(f"spectrum_{preset.name}.json", payload)
-        writer.finalize_manifest()
-    return 0
+    payload = {"system": preset.name, "a_tilde": a_tilde, "beta_per_fm": beta,
+               "depth_MeV": depth, "levels": levels}
+    if chain.fit is not None:
+        payload["fit"] = chain.fit.to_dict()
+    return {f"spectrum_{preset.name}.json": payload}
 
 
-def cmd_partner(cfg: RunConfig) -> int:
+def cmd_partner(cfg: RunConfig) -> dict:
     chain = analyze(cfg.preset, cfg.grid, removals=cfg.removals)
     print(
         f"partner {cfg.preset.name}: {cfg.removals} removal(s),"
         f" removed energies {[f'{rec.removed_energy:.4f}' for rec in chain.records[::2]]} MeV"
     )
-    writer = cfg.writer()
-    if writer:
-        if cfg.csv:
-            writer.write_csv(
-                "V1.csv", ["r_fm", "V_MeV"], [cfg.grid.r, values_on_grid(chain.potential, cfg.grid)]
-            )
-        sidecars = []
-        for i, rec in enumerate(chain.records):
-            suffix = f"_removal{i // 2 + 1}" if i >= 2 else ""
-            name = f"V{2 + i % 2}{suffix}.csv"
-            if cfg.csv:
-                writer.write_csv(name, ["r_fm", "V_MeV"], [cfg.grid.r, rec.result.values])
-            sidecars.append({**rec.sidecar(), "file": name})
-        if cfg.json:
-            writer.write_json("records.json", {"system": cfg.preset.name, "records": sidecars})
-        writer.finalize_manifest()
-    return 0
+    header, r = ["r_fm", "V_MeV"], cfg.grid.r
+    files = {"V1.csv": (header, [r, values_on_grid(chain.potential, cfg.grid)])}
+    sidecars = []
+    for i, rec in enumerate(chain.records):
+        suffix = f"_removal{i // 2 + 1}" if i >= 2 else ""
+        name = f"V{2 + i % 2}{suffix}.csv"
+        files[name] = (header, [r, rec.result.values])
+        sidecars.append({**rec.sidecar(), "file": name})
+    files["records.json"] = {"system": cfg.preset.name, "records": sidecars}
+    return files
 
 
-def _write_curves(writer: OutputWriter, curves) -> None:
-    for label, curve in curves.items():
-        writer.write_csv(
-            f"phase_{label}.csv",
-            ["E_MeV", "delta_rad", "delta_deg"],
-            [curve.energies, curve.deltas, np.degrees(curve.deltas)],
-        )
+def _curve_files(curves) -> dict:
+    return {
+        f"phase_{label}.csv": (["E_MeV", "delta_rad", "delta_deg"],
+                               [curve.energies, curve.deltas, np.degrees(curve.deltas)])
+        for label, curve in curves.items()
+    }
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(cfg: RunConfig) -> dict:
     preset = cfg.preset
     chain = analyze(preset, cfg.grid)
     states = {"deep": chain.physical, "intermediate": chain.v2_state, "pep": chain.v3_state}
     rms = {label: rms_radius(state, preset.coordinate_factor) for label, state in states.items()}
-    charge = matter = transfer = ratio = None
+    payload = {"system": preset.name, "rms_fm": rms, "a_tilde": chain.a_tilde,
+               "beta_per_fm": chain.beta,
+               "states": {label: state.summary() for label, state in states.items()}}
+    if chain.fit is not None:
+        payload["fit"] = chain.fit.to_dict()
     if preset.r_proton is not None:
-        charge = charge_radius(preset.r_proton, rms["deep"])
+        payload["charge_radius_fm"] = charge_radius(preset.r_proton, rms["deep"])
     if preset.core_mass_number is not None and preset.r_core is not None:
-        matter = matter_radius(preset.core_mass_number, preset.r_core, rms["deep"])
+        payload["matter_radius_fm"] = matter_radius(preset.core_mass_number, preset.r_core,
+                                                    rms["deep"])
+    ratio = None
     if preset.name == "deuteron":
         deep_ts, pep_ts, ratio = chain.strengths
-        transfer = {
+        payload["cross_section_ratio"] = ratio
+        payload["transfer"] = {
             label: {"d0_MeV_fm32": ts.d0, "d0_squared_MeV2_fm3": ts.d0_squared}
             for label, ts in (("deep", deep_ts), ("pep", pep_ts))
         }
-
     notes = _reference_pair_notes(preset)
-    report = ObservableReport(
-        system=preset.name,
-        rms_fm=rms,
-        charge_radius_fm=charge,
-        matter_radius_fm=matter,
-        transfer=transfer,
-        cross_section_ratio=ratio,
-        notes=tuple(notes),
-    )
+    if notes:
+        payload["notes"] = notes
 
     print(f"report {preset.name}: rms deep {rms['deep']:.4f} fm, intermediate "
           f"{rms['intermediate']:.4f} fm, pep {rms['pep']:.4f} fm")
@@ -271,78 +202,102 @@ def cmd_report(cfg: RunConfig) -> int:
     for note in notes:
         print(f"  note: {note}")
 
-    writer = cfg.writer()
-    if writer:
-        if cfg.csv:
-            if cfg.sweep is not None:
-                _write_curves(writer, chain.curves(cfg.sweep))
-            for label, state in states.items():
-                writer.write_csv(f"u_{label}.csv", ["r_fm", "u"], [cfg.grid.r, state.u])
-        if cfg.json:
-            payload = report.to_dict()
-            payload["a_tilde"] = chain.a_tilde
-            payload["beta_per_fm"] = chain.beta
-            payload["states"] = {label: state.summary() for label, state in states.items()}
-            if chain.fit is not None:
-                payload["fit"] = chain.fit.to_dict()
-            writer.write_json(f"report_{preset.name}.json", payload)
-        writer.finalize_manifest()
-    return 0
+    files = {f"report_{preset.name}.json": payload}
+    for label, state in states.items():
+        files[f"u_{label}.csv"] = (["r_fm", "u"], [cfg.grid.r, state.u])
+    if cfg.sweep is not None and "csv" in cfg.formats:
+        files.update(_curve_files(chain.curves(cfg.sweep)))
+    return files
 
 
-def cmd_phase(cfg: RunConfig) -> int:
+def cmd_phase(cfg: RunConfig) -> dict:
     energies = cfg.sweep if cfg.sweep is not None else 0.1 + 0.1 * np.arange(0, 200)
     curves = analyze(cfg.preset, cfg.grid).curves(energies)
     worst = float(np.max(mod_pi_distance(curves["V3"].deltas, curves["V1"].deltas)))
     print(f"phase {cfg.preset.name}: {len(energies)} energies, "
           f"max |delta_V3 - delta_V1| mod pi = {worst:.2e} rad")
-    writer = cfg.writer()
-    if writer:
-        _write_curves(writer, curves)
-        writer.finalize_manifest()
-    return 0
+    return _curve_files(curves)
 
 
-def cmd_transfer_ratio(cfg: RunConfig) -> int:
+def cmd_transfer_ratio(cfg: RunConfig) -> dict:
     if cfg.preset.name != "deuteron":
         raise ConfigError("transfer-ratio is defined for the deuteron preset only")
     deep_ts, pep_ts, ratio = analyze(cfg.preset, cfg.grid).strengths
     print(f"D0^2(deep) = {deep_ts.d0_squared:.1f} MeV^2 fm^3")
     print(f"D0^2(pep)  = {pep_ts.d0_squared:.1f} MeV^2 fm^3")
     print(f"ratio      = {ratio:.4f}")
-    writer = cfg.writer()
-    if writer:
-        writer.write_json(
-            "transfer_ratio.json",
-            {
-                "system": cfg.preset.name,
-                "d0_squared_deep_MeV2_fm3": deep_ts.d0_squared,
-                "d0_squared_pep_MeV2_fm3": pep_ts.d0_squared,
-                "cross_section_ratio": ratio,
-            },
-        )
-        writer.finalize_manifest()
-    return 0
+    return {"transfer_ratio.json": {
+        "system": cfg.preset.name,
+        "d0_squared_deep_MeV2_fm3": deep_ts.d0_squared,
+        "d0_squared_pep_MeV2_fm3": pep_ts.d0_squared,
+        "cross_section_ratio": ratio,
+    }}
 
 
+# (space-separated flags, add_argument keywords) of the options every command takes
+_COMMON = (
+    ("--preset", {"choices": ["deuteron", "be11", "alpha"]}),
+    ("--config", {"metavar": "PATH", "help": "key=value preset file"}),
+    ("--step", {"type": float, "default": DEFAULT_STEP, "metavar": "FM"}),
+    ("--rmax", {"type": float, "default": DEFAULT_R_MAX, "metavar": "FM"}),
+    ("--out", {"metavar": "DIR", "help": "output directory"}),
+    ("--format", {"choices": ["csv", "json", "both"], "default": "both",
+                  "help": "file types written under --out"}),
+    ("-v --verbose", {"action": "store_true"}),
+)
+_SWEEP = tuple((flag, {"type": float, "metavar": "MEV"})
+               for flag in ("--emin", "--emax", "--estep"))
+
+# command -> (handler, help text, options beyond _COMMON)
 _COMMANDS = {
-    "fit": cmd_fit,
-    "spectrum": cmd_spectrum,
-    "partner": cmd_partner,
-    "report": cmd_report,
-    "phase": cmd_phase,
-    "transfer-ratio": cmd_transfer_ratio,
+    "fit": (cmd_fit, "determine (a_tilde, beta) from the preset's targets", ()),
+    "spectrum": (cmd_spectrum, "analytic and numerical bound levels of the deep potential", ()),
+    "partner": (cmd_partner, "build the intermediate and phase-equivalent partners",
+                (("--removals", {"type": int, "default": 1, "metavar": "K"}),)),
+    "report": (cmd_report, "radii, transfer strengths and optional phase curves", _SWEEP),
+    "phase": (cmd_phase, "phase-shift curves for the deep potential and its partners", _SWEEP),
+    "transfer-ratio": (cmd_transfer_ratio, "zero-range strengths and the cross-section ratio",
+                       ()),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="susypep", description=__doc__.partition("\n\n")[0])
+    parser.add_argument("--version", action="version", version=f"susypep {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in _COMMON + options:
+            p.add_argument(*flags.split(), **kwargs)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
-        return _COMMANDS[args.command](RunConfig.from_args(args))
+        cfg = RunConfig.from_args(args)
+        files = _COMMANDS[args.command][0](cfg)
     except SusypepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ConfigError) else 2
+    if cfg.formats:
+        writer = OutputWriter(args.out)
+        for name, content in files.items():
+            if name.endswith(".csv") and "csv" in cfg.formats:
+                writer.write_csv(name, *content)
+            elif name.endswith(".json") and "json" in cfg.formats:
+                writer.write_json(name, content)
+        writer.finalize_manifest()
+    return 0
 
 
 if __name__ == "__main__":

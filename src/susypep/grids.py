@@ -7,6 +7,7 @@ sliver explicitly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,6 +36,8 @@ class RadialGrid:
     def from_extent(cls, step: float = DEFAULT_STEP, r_max: float = DEFAULT_R_MAX) -> "RadialGrid":
         if not step > 0.0:
             raise DomainError(f"grid step must be > 0, got {step}")
+        if not math.isfinite(r_max):
+            raise DomainError(f"grid extent must be finite, got {r_max}")
         return cls(step=step, n_points=int(round(r_max / step)))
 
     @property

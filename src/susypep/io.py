@@ -3,7 +3,7 @@
 CSV files carry one header line and full-precision values (17 significant
 digits); JSON is written with sorted keys. Identical inputs therefore
 produce byte-identical files, and every emitted file is recorded in a
-manifest with its SHA-256 checksum.
+manifest with the SHA-256 checksum of the bytes written.
 """
 from __future__ import annotations
 
@@ -19,44 +19,33 @@ def fmt(x: float) -> str:
 
 
 class OutputWriter:
-    """Collects written files and finalizes a checksum manifest."""
+    """Writes files and finalizes a manifest of their checksums."""
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self._files: list[Path] = []
+        self._digests: dict[str, str] = {}
+
+    def _write(self, name: str, text: str) -> Path:
+        data = text.encode("utf-8")
+        path = self.out_dir / name
+        path.write_bytes(data)
+        self._digests[name] = hashlib.sha256(data).hexdigest()
+        return path
 
     def write_csv(self, name: str, header: list[str], columns: list[np.ndarray]) -> Path:
-        path = self.out_dir / name
         rows = zip(*[np.asarray(col, dtype=float) for col in columns])
         lines = [",".join(header)]
         lines.extend(",".join(fmt(val) for val in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        self._files.append(path)
-        return path
+        return self._write(name, "\n".join(lines) + "\n")
 
     def write_json(self, name: str, payload) -> Path:
-        path = self.out_dir / name
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        self._files.append(path)
-        return path
+        return self._write(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def finalize_manifest(self) -> Path:
-        entries = [
-            {"path": path.name, "sha256": _sha256(path)}
-            for path in sorted(self._files, key=lambda p: p.name)
-        ]
+        entries = [{"path": name, "sha256": digest} for name, digest in sorted(self._digests.items())]
         path = self.out_dir / "manifest.json"
         path.write_text(
-            json.dumps({"files": entries}, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+            json.dumps({"files": entries}, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         return path
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()

@@ -256,38 +256,3 @@ def cross_section_ratio(deep: TransferStrength, pep: TransferStrength) -> float:
         raise DomainError("pep transfer strength vanishes; ratio undefined")
     return deep.d0_squared / pep.d0_squared
 
-
-@dataclass(frozen=True)
-class ObservableReport:
-    """Bundle of computed observables for one system preset."""
-
-    system: str
-    rms_fm: dict
-    charge_radius_fm: float | None = None
-    matter_radius_fm: float | None = None
-    transfer: dict | None = None
-    cross_section_ratio: float | None = None
-    notes: tuple = ()
-
-    def __post_init__(self):
-        for key, value in self.rms_fm.items():
-            if not value > 0.0:
-                raise DomainError(f"rms_fm[{key!r}] must be > 0, got {value}")
-        for name in ("charge_radius_fm", "matter_radius_fm"):
-            value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise DomainError(f"{name} must be > 0, got {value}")
-
-    def to_dict(self) -> dict:
-        out = {"system": self.system, "rms_fm": dict(self.rms_fm)}
-        if self.charge_radius_fm is not None:
-            out["charge_radius_fm"] = self.charge_radius_fm
-        if self.matter_radius_fm is not None:
-            out["matter_radius_fm"] = self.matter_radius_fm
-        if self.transfer is not None:
-            out["transfer"] = self.transfer
-        if self.cross_section_ratio is not None:
-            out["cross_section_ratio"] = self.cross_section_ratio
-        if self.notes:
-            out["notes"] = list(self.notes)
-        return out

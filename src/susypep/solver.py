@@ -124,6 +124,16 @@ def origin_power(potential: PotentialModel) -> float:
     return 1.0 + 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * potential.singular_coefficient))
 
 
+def _channel_constant(potential: PotentialModel, channel: ChannelConstants) -> float:
+    """The channel's hbar^2/2mu; DomainError when the potential carries another."""
+    c = channel.hbar2_over_2mu
+    if not math.isclose(potential.hbar2_over_2mu, c, rel_tol=1e-12):
+        raise DomainError(
+            f"potential carries hbar2_over_2mu={potential.hbar2_over_2mu} but channel has {c}"
+        )
+    return c
+
+
 def resolve(
     potential: PotentialModel, channel: ChannelConstants, grid: RadialGrid | None = None
 ) -> tuple[np.ndarray, float, float, RadialGrid]:
@@ -135,11 +145,7 @@ def resolve(
     :func:`default_grid`; a ``Tabulated`` off its own grid is rejected by
     ``values_on_grid``. c is hbar^2/2mu and p the origin power.
     """
-    c = channel.hbar2_over_2mu
-    if not math.isclose(potential.hbar2_over_2mu, c, rel_tol=1e-12):
-        raise DomainError(
-            f"potential carries hbar2_over_2mu={potential.hbar2_over_2mu} but channel has {c}"
-        )
+    c = _channel_constant(potential, channel)
     if grid is None:
         grid = potential.grid if isinstance(potential, Tabulated) else default_grid()
     return values_on_grid(potential, grid), c, origin_power(potential), grid
@@ -205,6 +211,7 @@ def default_energy_bracket(
 ) -> tuple[float, float]:
     """(-1.05 * depth, -1e-6) MeV from the potential's sampled minimum."""
     if isinstance(potential, SechSquared):
+        _channel_constant(potential, channel)
         depth = potential.depth
     else:
         depth = max(0.0, -float(np.min(resolve(potential, channel, grid)[0])))

@@ -1,5 +1,7 @@
-import json
 import hashlib
+import importlib.util
+import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -271,3 +273,62 @@ def test_outputs_are_deterministic(tmp_path):
     for path1 in sorted(out1.iterdir()):
         path2 = out2 / path1.name
         assert path1.read_bytes() == path2.read_bytes()
+
+
+SWEEP = ["--emin", "1", "--emax", "3", "--estep", "1"]
+PHASE_FILES = {"phase_V1.csv", "phase_V2.csv", "phase_V3.csv"}
+# command -> (extra argv, csv files, json files) for the deuteron
+WRITTEN = {
+    "fit": ([], set(), {"fit_deuteron.json"}),
+    "spectrum": ([], set(), {"spectrum_deuteron.json"}),
+    "partner": ([], {"V1.csv", "V2.csv", "V3.csv"}, {"records.json"}),
+    "report": (SWEEP, PHASE_FILES | {"u_deep.csv", "u_intermediate.csv", "u_pep.csv"},
+               {"report_deuteron.json"}),
+    "phase": (SWEEP, PHASE_FILES, set()),
+    "transfer-ratio": ([], set(), {"transfer_ratio.json"}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+@pytest.mark.parametrize("command", WRITTEN)
+def test_format_selects_the_files_of_every_command(command, fmt, tmp_path):
+    extra, csv_files, json_files = WRITTEN[command]
+    argv = [command, "--preset", "deuteron", "--format", fmt, "--out", str(tmp_path)]
+    assert run(argv + extra + FAST) == 0
+    expected = (csv_files if fmt != "json" else set()) | (json_files if fmt != "csv" else set())
+    assert {p.name for p in tmp_path.iterdir()} == expected | {"manifest.json"}
+    assert {entry["path"] for entry in read_json(tmp_path / "manifest.json")["files"]} == expected
+
+
+def test_parser_built_at_import_is_reused_without_state(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("parser built per call"))
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["partner", "--preset", "alpha"] + FAST
+    assert run(argv + ["--removals", "2", "--format", "json", "--out", str(first)]) == 0
+    for flags, code in ((["--version"], 0), (["fit", "--preset", "deuteron", "--bogus"], 3)):
+        with pytest.raises(SystemExit) as exc:
+            run(flags)
+        assert exc.value.code == code
+    assert run(argv + ["--out", str(second)]) == 0
+    assert "partner alpha: 1 removal(s)" in capsys.readouterr().out
+    assert {p.name for p in first.iterdir()} == {"records.json", "manifest.json"}
+    assert len(read_json(first / "records.json")["records"]) == 4
+    assert {p.name for p in second.iterdir()} == {"V1.csv", "V2.csv", "V3.csv", "records.json",
+                                                  "manifest.json"}
+    assert len(read_json(second / "records.json")["records"]) == 2
+
+
+def test_cli_digests_tool_lists_its_cases_and_repeats_its_lines(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    # digest() replaces the root handlers for each run; put this session's back after
+    monkeypatch.setattr(logging.root, "handlers", list(logging.root.handlers))
+    monkeypatch.setattr(logging.root, "level", logging.root.level)
+    assert len(tool.CASES) == 54
+    for argv, code in ((["transfer-ratio", "--preset", "alpha"], 3),
+                       (["fit", "--preset", "deuteron"], 0)):
+        line = tool.digest(argv)
+        assert f"exit={code}" in line
+        assert tool.digest(argv) == line

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,12 @@ def test_grid_validation():
         RadialGrid(step=-0.01, n_points=200)
     with pytest.raises(DomainError):
         RadialGrid(step=0.01, n_points=50)
+
+
+@pytest.mark.parametrize("r_max", [math.nan, math.inf, -math.inf])
+def test_non_finite_extent_is_a_domain_error(r_max):
+    with pytest.raises(DomainError, match="finite"):
+        RadialGrid.from_extent(0.01, r_max)
 
 
 def test_points_are_immutable():

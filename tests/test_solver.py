@@ -280,6 +280,15 @@ def test_channel_mismatch_raises_before_any_sweep(name, monkeypatch):
         MISMATCHED_CALLS[name](pot, ground, ChannelConstants(22.81, "n-Be10"))
 
 
+def test_sech_squared_bracket_checks_the_channel_without_sampling(monkeypatch):
+    pot = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
+    monkeypatch.setattr(solver, "values_on_grid", lambda *args: pytest.fail("sampled sech^2"))
+    with pytest.raises(DomainError, match="hbar2_over_2mu"):
+        default_energy_bracket(pot, ChannelConstants(22.81, "n-Be10"))
+    assert default_energy_bracket(pot, CH_D) == (-1.05 * pot.depth, -1e-6)
+    assert pot.depth == pytest.approx(1430.4 / 1.05, rel=1e-4)
+
+
 def test_resolve_samples_on_the_given_or_own_grid(deuteron_chain):
     v3 = deuteron_chain.rec3.result
     v, c, p, g = resolve(v3, CH_D)
