@@ -100,10 +100,6 @@ def _reference_pair_notes(preset: SystemPreset) -> list[str]:
 
 def cmd_fit(cfg: RunConfig) -> dict:
     preset = cfg.preset
-    if preset.fixed:
-        raise ConfigError(
-            f"preset {preset.name!r} has fixed parameters; use 'spectrum' instead"
-        )
     result = fit_parameters(preset, grid=cfg.grid)
     payload = result.to_dict()
     payload["system"] = preset.name
@@ -282,7 +278,8 @@ _PARSER = _build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
+    logging.basicConfig()   # a stderr handler, unless the root logger already has one
+    logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         cfg = RunConfig.from_args(args)
         files = _COMMANDS[args.command][0](cfg)

@@ -39,8 +39,8 @@ class SystemPreset:
     """A two-body system: channel constant, fit targets and bookkeeping.
 
     ``canonical_a_tilde/beta`` hold the established parameter pair used for
-    observable tables (the fit serves to reproduce or replace them);
-    ``fixed`` marks presets whose parameters are prescribed rather than
+    observable tables (the fit serves to reproduce or replace them). A
+    preset without ``target_rms`` has prescribed parameters and is not
     fitted. ``reference_pair`` records a quoted parameter pair that fails
     the defining constraints, so reports can flag the inconsistency.
     """
@@ -53,7 +53,6 @@ class SystemPreset:
     coordinate_factor: str
     canonical_a_tilde: float | None = None
     canonical_beta: float | None = None
-    fixed: bool = False
     r_proton: float | None = None
     core_mass_number: int | None = None
     r_core: float | None = None
@@ -110,7 +109,6 @@ def alpha_preset() -> SystemPreset:
         coordinate_factor="unit",
         canonical_a_tilde=a_tilde,
         canonical_beta=beta,
-        fixed=True,
     )
 
 
@@ -221,12 +219,8 @@ def fit_parameters(
     when the root is bracketed to BETA_TOL; ``iterations`` counts the rms
     evaluations, probes included.
     """
-    if preset.fixed:
-        raise ConfigError(
-            f"preset {preset.name!r} has fixed parameters and is not fitted"
-        )
     if preset.target_rms is None:
-        raise ConfigError(f"preset {preset.name!r} has no rms target to fit")
+        raise ConfigError(f"preset {preset.name!r} has fixed parameters; use 'spectrum' instead")
     g = grid if grid is not None else default_grid()
     channel = preset.channel
     n = preset.physical_node_count
@@ -293,9 +287,11 @@ def fit_parameters(
 def load_preset_config(path) -> SystemPreset:
     """Read a plain key=value preset file ('#' starts a comment).
 
-    Required keys: name, hbar2_over_2mu, target_energy, target_rms, nodes,
-    coordinate_factor.
+    Each of the keys name, hbar2_over_2mu, target_energy, target_rms, nodes
+    and coordinate_factor is required once; any other key is an error.
     """
+    required = ("name", "hbar2_over_2mu", "target_energy", "target_rms", "nodes",
+                "coordinate_factor")
     entries: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -305,13 +301,15 @@ def load_preset_config(path) -> SystemPreset:
                     continue
                 if "=" not in body:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
-                key, value = body.split("=", 1)
-                entries[key.strip()] = value.strip()
+                key, value = (part.strip() for part in body.split("=", 1))
+                if key not in required:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in entries:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+                entries[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
-    required = ["name", "hbar2_over_2mu", "target_energy", "target_rms", "nodes",
-                "coordinate_factor"]
     missing = [key for key in required if key not in entries]
     if missing:
         raise ConfigError(f"config {path} is missing keys: {', '.join(missing)}")

@@ -57,8 +57,8 @@ class RadialGrid:
 
     def index_of(self, radius: float) -> int:
         """Index of the grid point closest to `radius`."""
-        k = int(round(radius / self.step)) - 1
-        if k < 0 or k >= self.n_points:
+        k = int(round(radius / self.step)) - 1 if math.isfinite(radius) else -1
+        if not 0 <= k < self.n_points:
             raise DomainError(f"radius {radius} fm outside grid (r_max={self.r_max} fm)")
         return k
 

@@ -106,6 +106,17 @@ def _match_index(v: np.ndarray, grid: RadialGrid, r_match: float | None) -> int:
     return idx
 
 
+def _scattering_energies(energies) -> np.ndarray:
+    """The energies as a float array; DomainError unless each is finite and > 0."""
+    e = np.asarray(energies, dtype=float)
+    if e.size == 0:
+        raise DomainError("energy sweep is empty")
+    bad = e[~((e > 0.0) & (e < math.inf))]
+    if bad.size:
+        raise DomainError(f"scattering energies must be > 0 and finite, got {bad[0]}")
+    return e
+
+
 def _free_wave_phases(v, energies, c, p, grid, mi) -> np.ndarray:
     """Principal-branch phases of outward sweeps matched to the free s-wave at ``mi``.
 
@@ -142,10 +153,9 @@ def phase_shift(
     free forms; branch bookkeeping across energies is done by
     :func:`phase_shift_curve`.
     """
-    if energy <= 0.0:
-        raise DomainError(f"scattering energy must be > 0, got {energy}")
+    e = _scattering_energies([energy])
     v, c, p, g = resolve(potential, channel, grid)
-    return _free_wave_phases(v, [energy], c, p, g, _match_index(v, g, r_match))[0]
+    return _free_wave_phases(v, e, c, p, g, _match_index(v, g, r_match))[0]
 
 
 @dataclass(frozen=True)
@@ -154,7 +164,6 @@ class PhaseShiftCurve:
 
     energies: np.ndarray
     deltas: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float).copy()
@@ -179,29 +188,24 @@ def phase_shift_curve(
     potential: PotentialModel,
     channel: ChannelConstants,
     energies,
-    r_match: float | None = None,
     grid: RadialGrid | None = None,
-    provenance: str = "",
 ) -> PhaseShiftCurve:
     """Sweep phase shifts and unwrap them onto the Levinson branch.
 
     The absolute branch is anchored at threshold where the continuous
     s-wave phase shift equals (number of bound states) * pi; successive
-    samples are continued to the nearest branch.
+    samples are continued to the nearest branch. The match radius is the
+    default one of :func:`phase_shift`.
     """
-    e = np.asarray(list(energies), dtype=float)
-    if e.size == 0:
-        raise DomainError("energy sweep is empty")
-    if np.any(e <= 0.0):
-        raise DomainError(f"scattering energies must be > 0, got {e[e <= 0.0][0]}")
+    e = _scattering_energies(list(energies))
     v, c, p, g = resolve(potential, channel, grid)
-    raw = _free_wave_phases(v, e, c, p, g, _match_index(v, g, r_match))
+    raw = _free_wave_phases(v, e, c, p, g, _match_index(v, g, None))
     deltas = np.empty_like(raw)
     anchor = _outward_node_count(v / c, p, g) * math.pi   # bound states at threshold
     deltas[0] = raw[0] + math.pi * round((anchor - raw[0]) / math.pi)
     for j in range(1, raw.size):
         deltas[j] = raw[j] + math.pi * round((deltas[j - 1] - raw[j]) / math.pi)
-    return PhaseShiftCurve(energies=e, deltas=deltas, provenance=provenance)
+    return PhaseShiftCurve(energies=e, deltas=deltas)
 
 
 def mod_pi_distance(a, b):
@@ -218,18 +222,13 @@ class TransferStrength:
     """Zero-range strength D0 (MeV fm^(3/2)) and its square."""
 
     d0: float
-    provenance: str
     d0_squared: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "d0_squared", self.d0 * self.d0)
 
 
-def zero_range_strength(
-    potential_np: PotentialModel,
-    u0: BoundState,
-    provenance: str | None = None,
-) -> TransferStrength:
+def zero_range_strength(potential_np: PotentialModel, u0: BoundState) -> TransferStrength:
     """D0 = sqrt(4 pi) int r V(r) u0(r) dr on u0's grid."""
     g = u0.grid
     v = values_on_grid(potential_np, g)
@@ -240,10 +239,7 @@ def zero_range_strength(
             "zero-range integrand still %.3g at the grid edge; "
             "D0 may not be converged, increase r_max", float(tail)
         )
-    d0 = math.sqrt(4.0 * math.pi) * integrate(integrand, g)
-    if provenance is None:
-        provenance = "pep" if potential_np.singular_coefficient > 0.0 else "deep"
-    return TransferStrength(d0=d0, provenance=provenance)
+    return TransferStrength(d0=math.sqrt(4.0 * math.pi) * integrate(integrand, g))
 
 
 def cross_section_ratio(deep: TransferStrength, pep: TransferStrength) -> float:

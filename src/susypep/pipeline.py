@@ -71,15 +71,14 @@ class ChainResult:
     @cached_property
     def strengths(self) -> tuple[TransferStrength, TransferStrength, float]:
         """(deep D0, phase-equivalent D0, D0^2 deep/pep)."""
-        deep = zero_range_strength(self.potential, self.physical, provenance="deep")
-        pep = zero_range_strength(self.rec3.result, self.v3_state, provenance="pep")
+        deep = zero_range_strength(self.potential, self.physical)
+        pep = zero_range_strength(self.rec3.result, self.v3_state)
         return deep, pep, cross_section_ratio(deep, pep)
 
     def curves(self, energies) -> dict[str, PhaseShiftCurve]:
         """Phase-shift curves of V1 and of the first removal's V2 and V3."""
         return {
-            label: phase_shift_curve(pot, self.channel, energies, grid=self.grid,
-                                     provenance=label)
+            label: phase_shift_curve(pot, self.channel, energies, grid=self.grid)
             for label, pot in (
                 ("V1", self.potential), ("V2", self.rec2.result), ("V3", self.rec3.result)
             )

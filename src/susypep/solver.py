@@ -183,26 +183,21 @@ def series_log_derivative(f: np.ndarray, p: float, grid: RadialGrid) -> float:
 
 
 def numerov_first_derivative(
-    u: np.ndarray,
-    f: np.ndarray,
-    h: float,
-    y_left: float | None = None,
-    y_right: float | None = None,
+    u: np.ndarray, f: np.ndarray, h: float, y_left: float, y_right: float
 ) -> np.ndarray:
     """O(h^4) first derivative consistent with the Numerov solution.
 
     Interior points use u'_i = [u_{i+1}(1 - 2T_{i+1}) - u_{i-1}(1 - 2T_{i-1})]
-    / (2h) with T = h^2 f / 12.  Endpoints take analytic log-derivatives when
-    supplied (origin series, asymptotic kappa), else one-sided differences.
+    / (2h) with T = h^2 f / 12.  The endpoints take the analytic
+    log-derivatives ``y_left`` (origin series) and ``y_right`` (asymptotic
+    kappa).
     """
     t = h * h / 12.0
     du = np.empty_like(u)
     w = u * (1.0 - 2.0 * t * f)
     du[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
-    du[0] = y_left * u[0] if y_left is not None else (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    du[-1] = (
-        y_right * u[-1] if y_right is not None else (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    )
+    du[0] = y_left * u[0]
+    du[-1] = y_right * u[-1]
     return du
 
 
@@ -377,30 +372,27 @@ def solve_bound_state(
     if pieces is None:
         raise ConvergenceError("vanishing amplitude at the matching point")
     m, uo, ui = pieces
-    u = np.concatenate([uo[:m], ui[1:] * (uo[m] / ui[1])])
-
-    norm = math.sqrt(integrate(u * u, g))
-    u /= norm
-    tail_idx = _tail_index(u)
-    if u[tail_idx] < 0.0:
-        u = -u
-
-    nodes = count_nodes(u)
-    if nodes != target_nodes:
+    state = _finished_state(np.concatenate([uo[:m], ui[1:] * (uo[m] / ui[1])]), energy, c, g)
+    if state.nodes != target_nodes:
         raise ConvergenceError(
-            f"matched solution has {nodes} nodes, expected {target_nodes} "
+            f"matched solution has {state.nodes} nodes, expected {target_nodes} "
             f"(E={energy:.6g} MeV); refine the grid or bracket"
         )
-    residual = abs(integrate(u * u, g) - 1.0)
-    return BoundState(energy=energy, nodes=nodes, u=u, kappa=kappa, grid=g,
-                      norm_residual=residual)
+    return state
 
 
-def _tail_index(u: np.ndarray) -> int:
-    """Last index where |u| is still appreciable; defines the tail sign."""
-    threshold = 1e-3 * float(np.max(np.abs(u)))
-    idx = np.nonzero(np.abs(u) > threshold)[0]
-    return int(idx[-1]) if idx.size else len(u) - 1
+def _finished_state(u: np.ndarray, energy: float, c: float, grid: RadialGrid) -> BoundState:
+    """The BoundState of profile ``u`` at ``energy``: normalized, with a positive tail.
+
+    The tail sign is that of the last point where |u| exceeds 1e-3 of its
+    maximum; kappa is sqrt(-E / c) and the norm residual |int u^2 - 1|.
+    """
+    u = u / math.sqrt(integrate(u * u, grid))
+    appreciable = u[np.abs(u) > 1e-3 * np.max(np.abs(u))]
+    if appreciable.size and appreciable[-1] < 0.0:
+        u = -u
+    return BoundState(energy=energy, nodes=count_nodes(u), u=u, kappa=math.sqrt(-energy / c),
+                      grid=grid, norm_residual=abs(integrate(u * u, grid) - 1.0))
 
 
 def solve_at_energy(
@@ -415,8 +407,11 @@ def solve_at_energy(
     against overflow, in which case the rescaled profile is returned as-is
     (shape and log-derivatives remain valid).
     """
-    if energy == 0.0:
-        raise DomainError("energy must be nonzero; use count_bound_states for the E=0 probe")
+    if energy == 0.0 or not math.isfinite(energy):
+        raise DomainError(
+            f"energy must be finite and nonzero, got {energy}; "
+            "use count_bound_states for the E=0 probe"
+        )
     v, c, p, g = resolve(potential, channel, grid)
     f = (v - energy) / c
     u1, u2 = _series_start(f, p, g)
@@ -470,10 +465,4 @@ def analytic_pt_state(
     x = beta * g.r
     power = a_tilde - 2.0 * n - 1.0
     u = sech(x) ** power * _gegenbauer(2 * n + 1, power + 0.5, np.tanh(x))
-    u = u / math.sqrt(integrate(u * u, g))
-    if u[_tail_index(u)] < 0.0:
-        u = -u
-    kappa = math.sqrt(-energy / channel.hbar2_over_2mu)
-    residual = abs(integrate(u * u, g) - 1.0)
-    return BoundState(energy=energy, nodes=count_nodes(u), u=u, kappa=kappa, grid=g,
-                      norm_residual=residual)
+    return _finished_state(u, energy, channel.hbar2_over_2mu, g)

@@ -318,6 +318,21 @@ def test_parser_built_at_import_is_reused_without_state(tmp_path, capsys, monkey
     assert len(read_json(second / "records.json")["records"]) == 2
 
 
+def test_verbose_flag_sets_the_root_level_on_every_call():
+    root = logging.getLogger()
+    level, kept = root.level, logging.NullHandler()
+    root.addHandler(kept)
+    try:
+        for flags, expected in (([], logging.WARNING), (["-v"], logging.DEBUG),
+                                ([], logging.WARNING)):
+            assert run(["fit", "--preset", "alpha"] + flags) == 3
+            assert root.level == expected
+            assert kept in root.handlers
+    finally:
+        root.removeHandler(kept)
+        root.setLevel(level)
+
+
 def test_cli_digests_tool_lists_its_cases_and_repeats_its_lines(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
     spec = importlib.util.spec_from_file_location("cli_digests", path)

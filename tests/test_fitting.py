@@ -182,7 +182,7 @@ def test_presets_expose_expected_channels():
     assert get_preset("deuteron").channel.hbar2_over_2mu == 41.47
     assert get_preset("be11").channel.hbar2_over_2mu == 22.81
     assert get_preset("alpha").channel.hbar2_over_2mu == 10.375
-    assert get_preset("alpha").fixed
+    assert get_preset("alpha").target_rms is None
 
 
 def test_unknown_preset_rejected():
@@ -247,6 +247,19 @@ def test_config_file_bad_value(tmp_path):
     )
     with pytest.raises(ConfigError):
         load_preset_config(path)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("canonical_beta = 1.5\n", "unknown key 'canonical_beta'"),
+    ("target_rms = 2.5\n", "key 'target_rms' given twice"),
+], ids=["unknown", "repeated"])
+def test_config_file_rejects_unknown_and_repeated_keys(extra, message, tmp_path):
+    path = tmp_path / "system.cfg"
+    path.write_text("name = custom\nhbar2_over_2mu = 41.47\ntarget_energy = -2.226\n"
+                    "target_rms = 1.95\nnodes = 1\ncoordinate_factor = quarter\n" + extra)
+    with pytest.raises(ConfigError) as exc:
+        load_preset_config(path)
+    assert str(exc.value) == f"{path}:7: {message}"
 
 
 def test_config_file_not_found():

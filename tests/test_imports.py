@@ -1,15 +1,18 @@
 """Every name a module imports is used in it (pyflakes' F401, without pyflakes).
 
-``__init__`` modules are skipped: their imports are the package's exports.
-An import line marked ``# noqa: F401`` is kept on purpose and is exempt.
+The scan covers the package, the tests and the tools. ``__init__`` modules
+are skipped: their imports are the package's exports. An import line marked
+``# noqa: F401`` is kept on purpose and is exempt.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "susypep"
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "susypep"
+MODULES = (sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,6 +38,7 @@ def test_the_scan_sees_unused_imports_and_honours_noqa():
     assert unused_imports(source) == ["line 1: os", "line 3: pi"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: str(p.relative_to(SRC if SRC in p.parents else ROOT)))
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

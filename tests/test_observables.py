@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from susypep import (
     ChannelConstants,
     DomainError,
     RadialGrid,
+    SechSquared,
     Tabulated,
     TransferStrength,
     charge_radius,
     count_bound_states,
     cross_section_ratio,
+    default_grid,
     integrate,
     matter_radius,
     mod_pi_distance,
@@ -24,6 +27,7 @@ from susypep import (
     phase_shift_curve,
     remove_lowest,
     rms_radius,
+    solve_at_energy,
     zero_range_strength,
 )
 from susypep import _kernels
@@ -144,6 +148,29 @@ def test_intermediate_breaks_phase_equivalence(deuteron_chain):
 def test_phase_shift_requires_positive_energy(deuteron_chain):
     with pytest.raises(DomainError):
         phase_shift(deuteron_chain.potential, CH_D, -1.0)
+
+
+_WELL = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: phase_shift(_WELL, CH_D, math.nan),
+    lambda: phase_shift(_WELL, CH_D, math.inf),
+    lambda: phase_shift(_WELL, CH_D, 1.0, r_match=math.nan),
+    lambda: phase_shift(_WELL, CH_D, 1.0, r_match=math.inf),
+    lambda: phase_shift_curve(_WELL, CH_D, [1.0, math.nan]),
+    lambda: phase_shift_curve(_WELL, CH_D, [1.0, math.inf]),
+    lambda: solve_at_energy(_WELL, CH_D, math.nan),
+    lambda: solve_at_energy(_WELL, CH_D, -math.inf),
+    lambda: default_grid().index_of(math.nan),
+    lambda: default_grid().index_of(math.inf),
+], ids=["phase-nan", "phase-inf", "r_match-nan", "r_match-inf", "curve-nan", "curve-inf",
+        "energy-nan", "energy-minus-inf", "index-nan", "index-inf"])
+def test_non_finite_inputs_raise_domain_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_phase_shift_match_radius_not_reachable():
@@ -269,15 +296,13 @@ def test_mod_pi_distance_on_arrays_matches_scalars():
 def test_zero_potential_gives_zero_strength(deuteron_chain):
     grid = deuteron_chain.grid
     flat = Tabulated(grid, np.zeros(grid.n_points), 0.0, CH_D.hbar2_over_2mu)
-    ts = zero_range_strength(flat, deuteron_chain.physical, provenance="deep")
+    ts = zero_range_strength(flat, deuteron_chain.physical)
     assert ts.d0 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_deuteron_strengths_reference_values(deuteron_chain):
     deep = zero_range_strength(deuteron_chain.potential, deuteron_chain.physical)
     pep = zero_range_strength(deuteron_chain.rec3.result, deuteron_chain.v3_state)
-    assert deep.provenance == "deep"
-    assert pep.provenance == "pep"
     assert deep.d0_squared == pytest.approx(15792.0, rel=0.02)
     assert pep.d0_squared == pytest.approx(15980.0, rel=0.02)
     assert cross_section_ratio(deep, pep) == pytest.approx(0.988, abs=5e-3)
@@ -310,7 +335,7 @@ def test_ratio_sign_flip_invariance(deuteron_chain):
     deep = zero_range_strength(deuteron_chain.potential, deuteron_chain.physical)
     pep = zero_range_strength(deuteron_chain.rec3.result, deuteron_chain.v3_state)
     flipped = cross_section_ratio(
-        TransferStrength(-deep.d0, "deep"), TransferStrength(-pep.d0, "pep")
+        TransferStrength(-deep.d0), TransferStrength(-pep.d0)
     )
     assert flipped == pytest.approx(cross_section_ratio(deep, pep), rel=1e-15)
 
@@ -318,22 +343,22 @@ def test_ratio_sign_flip_invariance(deuteron_chain):
 @settings(max_examples=50, deadline=None)
 @given(d0=st.floats(min_value=1e-6, max_value=1e4))
 def test_equal_strengths_give_unit_ratio(d0):
-    ts = TransferStrength(d0, "deep")
-    assert cross_section_ratio(ts, TransferStrength(d0, "pep")) == pytest.approx(1.0)
-    assert cross_section_ratio(ts, TransferStrength(-d0, "pep")) == pytest.approx(1.0)
+    ts = TransferStrength(d0)
+    assert cross_section_ratio(ts, TransferStrength(d0)) == pytest.approx(1.0)
+    assert cross_section_ratio(ts, TransferStrength(-d0)) == pytest.approx(1.0)
 
 
 def test_zero_pep_strength_rejected():
     with pytest.raises(DomainError):
-        cross_section_ratio(TransferStrength(1.0, "deep"), TransferStrength(0.0, "pep"))
+        cross_section_ratio(TransferStrength(1.0), TransferStrength(0.0))
 
 
 def test_d0_squared_is_square():
-    ts = TransferStrength(-125.7, "deep")
+    ts = TransferStrength(-125.7)
     assert ts.d0_squared == ts.d0 * ts.d0
 
 
 def test_ratio_of_quoted_strengths():
-    deep = TransferStrength(math.sqrt(15792.0), "deep")
-    pep = TransferStrength(math.sqrt(15980.0), "pep")
+    deep = TransferStrength(math.sqrt(15792.0))
+    pep = TransferStrength(math.sqrt(15980.0))
     assert cross_section_ratio(deep, pep) == pytest.approx(0.988, abs=5e-4)

@@ -37,6 +37,7 @@ from susypep.solver import (
     numerov_first_derivative,
     origin_power,
     resolve,
+    series_log_derivative,
 )
 
 CH_D = ChannelConstants(41.47, "n-p")
@@ -301,18 +302,30 @@ def test_resolve_samples_on_the_given_or_own_grid(deuteron_chain):
     assert resolve(deuteron_chain.potential, CH_D, finer)[3] == finer
 
 
-def test_factorization_residual_of_ground_state(deuteron_chain):
-    # (W + sqrt(c) d/dr) u0 ~ 0 for W = -sqrt(c) u0'/u0 built from the
-    # nodeless ground state, checked with the state's own derivative
-    state = deuteron_chain.ground
-    grid = state.grid
-    c = CH_D.hbar2_over_2mu
-    f = (deuteron_chain.potential.evaluate(grid.r) - state.energy) / c
-    du = numerov_first_derivative(state.u, f, grid.step)
-    w = -math.sqrt(c) * du / state.u
-    residual = w * state.u + math.sqrt(c) * du
-    keep = grid.r < 0.9 * grid.r_max
-    assert np.max(np.abs(residual[keep])) < 1e-6 * np.max(np.abs(state.u))
+def _riccati_residual(potential, ground, channel) -> float:
+    """max |y' + y^2 - (V1 - E0)/c| / max |(V1 - E0)/c| on 1-10 fm, y = u0'/u0.
+
+    y' comes from central differences of y, so the residual falls as h^2.
+    """
+    grid = ground.grid
+    f = (potential.evaluate(grid.r) - ground.energy) / channel.hbar2_over_2mu
+    du = numerov_first_derivative(ground.u, f, grid.step,
+                                  series_log_derivative(f, 1.0, grid), -ground.kappa)
+    y = du / ground.u
+    residual = (y[2:] - y[:-2]) / (2.0 * grid.step) + y[1:-1] ** 2 - f[1:-1]
+    keep = (grid.r[1:-1] >= 1.0) & (grid.r[1:-1] <= 10.0)
+    return np.max(np.abs(residual[keep])) / np.max(np.abs(f[1:-1][keep]))
+
+
+@pytest.mark.parametrize("chain_name", ["deuteron_chain", "be11_chain", "alpha_chain"])
+def test_ground_state_satisfies_the_riccati_equation(chain_name, request):
+    # the factorization V1 = E0 + c (y^2 + y') that every SUSY partner is built on
+    chain = request.getfixturevalue(chain_name)
+    coarse = _riccati_residual(chain.potential, chain.ground, chain.channel)
+    fine_ground = solve_bound_state(chain.potential, chain.channel, 0, grid=chain.grid.halved())
+    fine = _riccati_residual(chain.potential, fine_ground, chain.channel)
+    assert coarse < 1e-4
+    assert fine < coarse / 3.0
 
 
 # --- solve_at_energy ------------------------------------------------------------
