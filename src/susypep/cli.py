@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DomainError, SusypepError
-from .fitting import SystemPreset, fit_parameters, get_preset, load_preset_config
+from .fitting import PRESETS, SystemPreset, fit_parameters, get_preset, load_preset_config
 from .grids import DEFAULT_R_MAX, DEFAULT_STEP, RadialGrid
 from .io import OutputWriter
 from .observables import charge_radius, matter_radius, mod_pi_distance, rms_radius
@@ -75,7 +75,11 @@ class RunConfig:
             emin, emax, estep = bounds
             if emin <= 0 or emax <= emin or estep <= 0:
                 raise ConfigError("sweep bounds must be positive and ordered")
-            n = int(round((emax - emin) / estep))
+            count = (emax - emin) / estep
+            if not math.isfinite(count):
+                raise ConfigError(f"sweep from {emin} to {emax} MeV in steps of {estep} MeV "
+                                  "holds no finite number of energies")
+            n = int(round(count))
             sweep = emin + estep * np.arange(0, n + 1)
 
         formats = ("csv", "json") if args.format == "both" else (args.format,)
@@ -232,7 +236,7 @@ def cmd_transfer_ratio(cfg: RunConfig) -> dict:
 
 # (space-separated flags, add_argument keywords) of the options every command takes
 _COMMON = (
-    ("--preset", {"choices": ["deuteron", "be11", "alpha"]}),
+    ("--preset", {"choices": PRESETS}),   # read at parse time: every registered preset
     ("--config", {"metavar": "PATH", "help": "key=value preset file"}),
     ("--step", {"type": float, "default": DEFAULT_STEP, "metavar": "FM"}),
     ("--rmax", {"type": float, "default": DEFAULT_R_MAX, "metavar": "FM"}),

@@ -59,10 +59,10 @@ class SystemPreset:
     reference_pair: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not self.target_energy < 0.0:
-            raise DomainError(f"target energy must be < 0, got {self.target_energy}")
-        if self.target_rms is not None and not self.target_rms > 0.0:
-            raise DomainError(f"target rms must be > 0, got {self.target_rms}")
+        if not -math.inf < self.target_energy < 0.0:
+            raise DomainError(f"target energy must be finite and < 0, got {self.target_energy}")
+        if self.target_rms is not None and not 0.0 < self.target_rms < math.inf:
+            raise DomainError(f"target rms must be finite and > 0, got {self.target_rms}")
         if self.physical_node_count < 0:
             raise DomainError(f"node count must be >= 0, got {self.physical_node_count}")
         if self.coordinate_factor not in ("quarter", "unit"):

@@ -62,10 +62,6 @@ class RadialGrid:
             raise DomainError(f"radius {radius} fm outside grid (r_max={self.r_max} fm)")
         return k
 
-    def halved(self) -> "RadialGrid":
-        """Grid with half the step and the same extent."""
-        return RadialGrid(step=self.step / 2.0, n_points=2 * self.n_points)
-
 
 def default_grid() -> RadialGrid:
     return RadialGrid.from_extent(DEFAULT_STEP, DEFAULT_R_MAX)
@@ -79,8 +75,8 @@ class ChannelConstants:
     label: str = ""
 
     def __post_init__(self):
-        if not self.hbar2_over_2mu > 0.0:
-            raise DomainError(f"hbar2_over_2mu must be > 0, got {self.hbar2_over_2mu}")
+        if not 0.0 < self.hbar2_over_2mu < math.inf:
+            raise DomainError(f"hbar2_over_2mu must be finite and > 0, got {self.hbar2_over_2mu}")
 
 
 def integrate(values: np.ndarray, grid: RadialGrid) -> float:

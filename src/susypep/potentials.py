@@ -51,12 +51,13 @@ class SechSquared:
     hbar2_over_2mu: float
 
     def __post_init__(self):
-        if not self.a_tilde > 1.0:
-            raise DomainError(f"a_tilde must exceed 1 (one bound odd state), got {self.a_tilde}")
-        if not self.beta > 0.0:
-            raise DomainError(f"beta must be > 0, got {self.beta}")
-        if not self.hbar2_over_2mu > 0.0:
-            raise DomainError("hbar2_over_2mu must be > 0")
+        if not 1.0 < self.a_tilde < math.inf:
+            raise DomainError(
+                f"a_tilde must be finite and exceed 1 (one bound odd state), got {self.a_tilde}")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0.0 < self.hbar2_over_2mu < math.inf:
+            raise DomainError(f"hbar2_over_2mu must be finite and > 0, got {self.hbar2_over_2mu}")
 
     @property
     def depth(self) -> float:

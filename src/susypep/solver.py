@@ -8,7 +8,7 @@ holds only the requested state. Where the potential knows that level
 removed level for a SUSY partner) the bracket is centred on it, and two
 node-count probes at its ends confirm it; otherwise, or when they do not,
 bisection on the interior node count of the outward sweep narrows the
-wide default bracket until it isolates the state. Cooley's energy
+bracket from the sampled depth until it isolates the state. Cooley's energy
 correction, from an outward sweep and a Dirichlet inward sweep matched at
 the outermost classical turning point, then converges quadratically to
 that eigenvalue of the r_max-truncated problem, from the known level in
@@ -32,14 +32,7 @@ import numpy as np
 from . import _kernels
 from .errors import BracketError, ConvergenceError, DomainError
 from .grids import ChannelConstants, RadialGrid, default_grid, integrate
-from .potentials import (
-    PotentialModel,
-    SechSquared,
-    Tabulated,
-    analytic_levels,
-    sech,
-    values_on_grid,
-)
+from .potentials import PotentialModel, Tabulated, analytic_levels, sech, values_on_grid
 
 log = logging.getLogger(__name__)
 
@@ -124,16 +117,6 @@ def origin_power(potential: PotentialModel) -> float:
     return 1.0 + 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * potential.singular_coefficient))
 
 
-def _channel_constant(potential: PotentialModel, channel: ChannelConstants) -> float:
-    """The channel's hbar^2/2mu; DomainError when the potential carries another."""
-    c = channel.hbar2_over_2mu
-    if not math.isclose(potential.hbar2_over_2mu, c, rel_tol=1e-12):
-        raise DomainError(
-            f"potential carries hbar2_over_2mu={potential.hbar2_over_2mu} but channel has {c}"
-        )
-    return c
-
-
 def resolve(
     potential: PotentialModel, channel: ChannelConstants, grid: RadialGrid | None = None
 ) -> tuple[np.ndarray, float, float, RadialGrid]:
@@ -145,7 +128,11 @@ def resolve(
     :func:`default_grid`; a ``Tabulated`` off its own grid is rejected by
     ``values_on_grid``. c is hbar^2/2mu and p the origin power.
     """
-    c = _channel_constant(potential, channel)
+    c = channel.hbar2_over_2mu
+    if not math.isclose(potential.hbar2_over_2mu, c, rel_tol=1e-12):
+        raise DomainError(
+            f"potential carries hbar2_over_2mu={potential.hbar2_over_2mu} but channel has {c}"
+        )
     if grid is None:
         grid = potential.grid if isinstance(potential, Tabulated) else default_grid()
     return values_on_grid(potential, grid), c, origin_power(potential), grid
@@ -173,44 +160,28 @@ def _series_start(f: np.ndarray, p: float, grid: RadialGrid):
     return u1, u2
 
 
-def series_log_derivative(f: np.ndarray, p: float, grid: RadialGrid) -> float:
-    """u'/u at the first grid point from the origin series."""
-    a2, a4 = _series_coefficients(f, p, grid)
-    r1 = grid.r[0]
-    num = p + (p + 2.0) * a2 * r1**2 + (p + 4.0) * a4 * r1**4
-    den = r1 * (1.0 + a2 * r1**2 + a4 * r1**4)
-    return num / den
-
-
-def numerov_first_derivative(
-    u: np.ndarray, f: np.ndarray, h: float, y_left: float, y_right: float
+def log_derivative(
+    u: np.ndarray, f: np.ndarray, p: float, grid: RadialGrid, y_right: float
 ) -> np.ndarray:
-    """O(h^4) first derivative consistent with the Numerov solution.
+    """u'/u of a Numerov solution u of u'' = f u, to O(h^4).
 
     Interior points use u'_i = [u_{i+1}(1 - 2T_{i+1}) - u_{i-1}(1 - 2T_{i-1})]
-    / (2h) with T = h^2 f / 12.  The endpoints take the analytic
-    log-derivatives ``y_left`` (origin series) and ``y_right`` (asymptotic
-    kappa).
+    / (2h) with T = h^2 f / 12. The first point takes the log-derivative of
+    the origin series r^p (1 + a2 r^2 + a4 r^4), the last one ``y_right``
+    (the asymptotic -kappa for a bound state).
     """
+    h = grid.step
     t = h * h / 12.0
     du = np.empty_like(u)
     w = u * (1.0 - 2.0 * t * f)
     du[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
+    a2, a4 = _series_coefficients(f, p, grid)
+    r1 = grid.r[0]
+    y_left = (p + (p + 2.0) * a2 * r1**2 + (p + 4.0) * a4 * r1**4) / (
+        r1 * (1.0 + a2 * r1**2 + a4 * r1**4))
     du[0] = y_left * u[0]
     du[-1] = y_right * u[-1]
-    return du
-
-
-def default_energy_bracket(
-    potential: PotentialModel, channel: ChannelConstants, grid: RadialGrid | None = None
-) -> tuple[float, float]:
-    """(-1.05 * depth, -1e-6) MeV from the potential's sampled minimum."""
-    if isinstance(potential, SechSquared):
-        _channel_constant(potential, channel)
-        depth = potential.depth
-    else:
-        depth = max(0.0, -float(np.min(resolve(potential, channel, grid)[0])))
-    return (-1.05 * depth, -1e-6)
+    return du / u
 
 
 def _known_level_bracket(potential: PotentialModel, n: int) -> tuple[float, float] | None:
@@ -293,26 +264,25 @@ def solve_bound_state(
     potential: PotentialModel,
     channel: ChannelConstants,
     target_nodes: int,
-    energy_bracket: tuple[float, float] | None = None,
     grid: RadialGrid | None = None,
 ) -> BoundState:
     """Find the bound state with the requested interior node count.
 
     The interior node count of the outward sweep steps by one exactly at
-    each eigenvalue of the r_max-truncated problem. Without an
-    ``energy_bracket``, a level the potential knows (``potential.levels``)
-    is bracketed symmetrically, out to half the distance to its nearest
-    neighbouring level (or to threshold for the top level); when the node
-    counts at the ends are not target and target + 1 the search widens to
-    :func:`default_energy_bracket`. Bisection on that count runs only until
-    the bracket holds the requested state alone (counts target and
-    target + 1 at its ends). Cooley corrections from the bracket midpoint,
-    the known level if there is one, then converge to the eigenvalue; one
-    that leaves the bracket is replaced by a bisection step. The search
-    stops when a correction moves the energy by less than ENERGY_TOL or the
-    bracket is narrower than that, and raises ConvergenceError after
-    MAX_BISECTIONS steps. The returned state is assembled from matched
-    outward/inward sweeps and normalized.
+    each eigenvalue of the r_max-truncated problem. A level the potential
+    knows (``potential.levels``) is bracketed symmetrically, out to half the
+    distance to its nearest neighbouring level (or to threshold for the top
+    level). When the level is not known, or the node counts at the ends are
+    not target and target + 1, the search starts from the bracket from the
+    sampled depth, (-1.05 max(0, -min V), -1e-6) MeV. Bisection on that count
+    runs only until the bracket holds the requested state alone (counts
+    target and target + 1 at its ends). Cooley corrections from the bracket
+    midpoint, the known level if there is one, then converge to the
+    eigenvalue; one that leaves the bracket is replaced by a bisection step.
+    The search stops when a correction moves the energy by less than
+    ENERGY_TOL or the bracket is narrower than that, and raises
+    ConvergenceError after MAX_BISECTIONS steps. The returned state is
+    assembled from matched outward/inward sweeps and normalized.
     """
     if target_nodes < 0:
         raise DomainError(f"target_nodes must be >= 0, got {target_nodes}")
@@ -322,17 +292,13 @@ def solve_bound_state(
     def end_counts(bracket):
         return tuple(_outward_node_count((v - e) / c, p, g) for e in bracket)
 
-    bracket = None if energy_bracket is not None else _known_level_bracket(potential, target_nodes)
+    bracket = _known_level_bracket(potential, target_nodes)
     if bracket is not None:
         counts = end_counts(bracket)
         if counts != (target_nodes, target_nodes + 1):
             bracket = None    # the level is not where it was said to be: widen
     if bracket is None:
-        bracket = energy_bracket if energy_bracket is not None else default_energy_bracket(
-            potential, channel, g
-        )
-        if not bracket[0] < bracket[1] < 0.0:
-            raise BracketError("invalid energy bracket ({}, {})".format(*bracket))
+        bracket = (-1.05 * max(0.0, -float(np.min(v))), -1e-6)
         counts = end_counts(bracket)
     (elo, ehi), (count_lo, count_hi) = bracket, counts
     if not (count_lo <= target_nodes < count_hi):

@@ -32,9 +32,8 @@ from .potentials import PotentialModel, Tabulated
 from .solver import (
     BoundState,
     count_bound_states,
-    numerov_first_derivative,
+    log_derivative,
     resolve,
-    series_log_derivative,
     solve_at_energy,
     solve_bound_state,
 )
@@ -83,11 +82,8 @@ def _ground_log_derivative(
     truncation of the discrete derivative would otherwise leave a constant
     noise floor ~h^4 kappa^5 in the transformed potential's tail.
     """
-    g = ground.grid
-    f = (v_source - ground.energy) / c
-    y_left = series_log_derivative(f, p_source, g)
-    du = numerov_first_derivative(ground.u, f, g.step, y_left=y_left, y_right=-ground.kappa)
-    y = du / ground.u
+    y = log_derivative(ground.u, (v_source - ground.energy) / c, p_source, ground.grid,
+                       -ground.kappa)
     threshold = 1e-12 * max(1.0, float(np.max(np.abs(v_source))))
     alive = np.nonzero(np.abs(v_source) >= threshold)[0]
     if alive.size and alive[-1] + 1 < y.size:
@@ -185,10 +181,8 @@ def build_pep_via_intermediate(
     g = ground.grid
     v2 = intermediate if intermediate is not None else build_intermediate(source, ground, channel)
     psi2 = solve_at_energy(v2, channel, ground.energy, grid=g)
-    f2 = (v2.values - ground.energy) / c
-    y_left = series_log_derivative(f2, psi2.origin_power, g)
-    du2 = numerov_first_derivative(psi2.u, f2, g.step, y_left=y_left, y_right=ground.kappa)
-    y2 = du2 / psi2.u
+    y2 = log_derivative(psi2.u, (v2.values - ground.energy) / c, psi2.origin_power, g,
+                        ground.kappa)
     return _partner(source, v1 + 2.0 * c * (y2 * y2 - y1 * y1), p, 2.0, c, g)
 
 

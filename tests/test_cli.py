@@ -2,11 +2,12 @@ import hashlib
 import importlib.util
 import json
 import logging
+import warnings
 from pathlib import Path
 
 import pytest
 
-from susypep import cli
+from susypep import cli, fitting
 from susypep.cli import main
 
 
@@ -200,6 +201,36 @@ def test_non_finite_numbers_are_config_errors(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "analyze", lambda *a, **kw: pytest.fail("solved before validating"))
     assert run(argv + ["--preset", "deuteron"]) == 3
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_sweep_without_a_finite_energy_count_is_config_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "analyze", lambda *a, **kw: pytest.fail("solved before validating"))
+    argv = ["phase", "--preset", "deuteron", "--emin", "0.1", "--emax", "1e300",
+            "--estep", "1e-300"]
+    assert run(argv) == 3
+    assert "no finite number of energies" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["hbar2_over_2mu = inf", "target_energy = -inf",
+                                  "target_rms = inf"])
+def test_infinite_value_in_a_config_file_is_config_error(line, tmp_path, capsys):
+    values = {"name": "custom", "hbar2_over_2mu": "41.47", "target_energy": "-2.226",
+              "target_rms": "1.95", "nodes": "1", "coordinate_factor": "quarter"}
+    key, value = (part.strip() for part in line.split("="))
+    values[key] = value
+    cfg = tmp_path / "infinite.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["spectrum", "--config", str(cfg)]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
+def test_every_registered_preset_can_be_selected(monkeypatch):
+    monkeypatch.setitem(fitting.PRESETS, "deuteron2", fitting.deuteron_preset)
+    assert cli._PARSER.parse_args(["fit", "--preset", "deuteron2"]).preset == "deuteron2"
+    with pytest.raises(SystemExit):
+        cli._PARSER.parse_args(["fit", "--preset", "carbon"])
 
 
 @pytest.mark.parametrize("command", ["fit", "spectrum", "partner", "report", "phase",

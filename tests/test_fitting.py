@@ -1,4 +1,5 @@
 import logging
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +201,25 @@ def test_preset_validation():
             physical_node_count=1,
             coordinate_factor="quarter",
         )
+
+
+def _preset(**changes):
+    fields = {"name": "x", "channel": CH_D, "target_energy": -2.226, "target_rms": 1.95,
+              "physical_node_count": 1, "coordinate_factor": "quarter", **changes}
+    return SystemPreset(**fields)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ChannelConstants(math.inf),
+    lambda: SechSquared(math.inf, 1.587, 41.47),
+    lambda: SechSquared(3.146, math.inf, 41.47),
+    lambda: SechSquared(3.146, 1.587, math.inf),
+    lambda: _preset(target_energy=-math.inf),
+    lambda: _preset(target_rms=math.inf),
+], ids=["channel", "a_tilde", "beta", "hbar2_over_2mu", "target_energy", "target_rms"])
+def test_constructors_reject_infinities(make):
+    with pytest.raises(DomainError, match="finite"):
+        make()
 
 
 def test_preset_rejects_a_negative_node_count(tmp_path):

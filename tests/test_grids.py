@@ -39,13 +39,10 @@ def test_points_are_immutable():
         grid.r[0] = 99.0
 
 
-def test_index_of_and_halved():
+def test_index_of():
     grid = RadialGrid(step=0.01, n_points=1000)
     assert grid.index_of(5.0) == 499
     assert grid.r[grid.index_of(5.0)] == pytest.approx(5.0)
-    half = grid.halved()
-    assert half.step == pytest.approx(0.005)
-    assert half.r_max == pytest.approx(grid.r_max)
     with pytest.raises(DomainError):
         grid.index_of(11.0)
 

@@ -1,8 +1,12 @@
-"""Every name a module imports is used in it (pyflakes' F401, without pyflakes).
+"""Every name a module imports is used in it (pyflakes' F401, without pyflakes),
+and every local a function assigns is read (F841).
 
 The scan covers the package, the tests and the tools. ``__init__`` modules
-are skipped: their imports are the package's exports. An import line marked
-``# noqa: F401`` is kept on purpose and is exempt.
+are skipped by the import check: their imports are the package's exports.
+An import line marked ``# noqa: F401`` is kept on purpose and is exempt.
+The local check looks at simple ``name = ...`` assignments in a function
+body; loop and unpacking targets are exempt, and a read in a nested
+function counts.
 """
 import ast
 from pathlib import Path
@@ -32,13 +36,49 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unused_locals(source: str) -> list[str]:
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        read.update(name for node in ast.walk(func)
+                    if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names)
+        own = list(ast.iter_child_nodes(func))     # the function's own scope, not nested ones
+        while own:
+            node = own.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                continue
+            own.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Assign):
+                found += [f"line {node.lineno}: {target.id}" for target in node.targets
+                          if isinstance(target, ast.Name) and target.id not in read]
+    return sorted(found)
+
+
 def test_the_scan_sees_unused_imports_and_honours_noqa():
     source = ("import os\nimport numpy as np\nfrom math import pi, tau\n"
               "from . import kept  # noqa: F401\nprint(np.pi, tau)\n")
     assert unused_imports(source) == ["line 1: os", "line 3: pi"]
 
 
-@pytest.mark.parametrize("path", MODULES,
-                         ids=lambda p: str(p.relative_to(SRC if SRC in p.parents else ROOT)))
+def test_the_scan_sees_unread_locals_but_not_loop_or_unpacking_targets():
+    source = ("def f(items):\n    dead = 1\n    kept = 2\n    a, b = items\n"
+              "    for x in items:\n        pass\n"
+              "    def g():\n        inner = kept\n        return 0\n    return g\n")
+    assert unused_locals(source) == ["line 2: dead", "line 8: inner"]
+
+
+def _module_id(path: Path) -> str:
+    return str(path.relative_to(SRC if SRC in path.parents else ROOT))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
+def test_module_reads_every_local_it_assigns(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []

@@ -13,6 +13,7 @@ from susypep import (
     NoSuchStateError,
     RadialGrid,
     SechSquared,
+    Tabulated,
     analytic_levels,
     analytic_pt_state,
     build_intermediate,
@@ -31,14 +32,7 @@ from susypep import (
 )
 from susypep import analyze, get_preset, solver
 from susypep.potentials import values_on_grid
-from susypep.solver import (
-    _outward_node_count,
-    default_energy_bracket,
-    numerov_first_derivative,
-    origin_power,
-    resolve,
-    series_log_derivative,
-)
+from susypep.solver import _outward_node_count, log_derivative, origin_power, resolve
 
 CH_D = ChannelConstants(41.47, "n-p")
 CH_A = ChannelConstants(10.375, "alpha-alpha")
@@ -127,7 +121,7 @@ def test_grid_halving_changes_eigenvalue_below_1e6():
     pot = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
     for n in (0, 1):
         e_base = solve_bound_state(pot, CH_D, n, grid=base).energy
-        e_half = solve_bound_state(pot, CH_D, n, grid=base.halved()).energy
+        e_half = solve_bound_state(pot, CH_D, n, grid=RadialGrid(0.0025, 14000)).energy
         assert abs(e_base - e_half) < 1e-6
 
 
@@ -135,15 +129,6 @@ def test_bracket_error_reports_node_counts():
     pot = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
     with pytest.raises(BracketError, match="node counts"):
         solve_bound_state(pot, CH_D, target_nodes=5)
-
-
-def test_explicit_bracket_is_honored():
-    pot = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
-    state = solve_bound_state(pot, CH_D, target_nodes=1, energy_bracket=(-10.0, -0.1))
-    assert state.energy == pytest.approx(-2.2264, abs=1e-3)
-    with pytest.raises(BracketError):
-        # bracket around the ground state cannot hold the one-node state
-        solve_bound_state(pot, CH_D, target_nodes=1, energy_bracket=(-500.0, -100.0))
 
 
 CHAINS = ("deuteron_chain", "be11_chain", "alpha_chain")
@@ -197,35 +182,39 @@ def test_solve_sweeps_at_most_six_grid_lengths(chain_name, request, monkeypatch)
 
 
 @pytest.mark.parametrize("chain_name", CHAINS)
-def test_known_level_start_agrees_with_the_default_bracket(chain_name, request):
+def test_known_level_start_agrees_with_the_default_bracket(chain_name, request, monkeypatch):
+    # the same levels once more, each searched from the bracket from the sampled depth
     chain = request.getfixturevalue(chain_name)
     g, ch = chain.grid, chain.channel
-    for pot, n in _chain_problems(chain):
-        assert pot.levels, pot
-        wide = solve_bound_state(pot, ch, n, grid=g,
-                                 energy_bracket=default_energy_bracket(pot, ch, g))
-        assert solve_bound_state(pot, ch, n, grid=g).energy == pytest.approx(wide.energy,
-                                                                             abs=1e-10)
+    problems = _chain_problems(chain)
+    assert all(pot.levels for pot, _ in problems)
+    known = [solve_bound_state(pot, ch, n, grid=g).energy for pot, n in problems]
+    monkeypatch.setattr(solver, "_known_level_bracket", lambda *args: None)
+    wide = [solve_bound_state(pot, ch, n, grid=g).energy for pot, n in problems]
+    assert known == pytest.approx(wide, abs=1e-10)
 
 
 @pytest.mark.parametrize("chain_name", CHAINS)
 def test_wrong_known_levels_widen_to_the_default_bracket(chain_name, request, monkeypatch):
     # each partner level moved down onto its neighbour, the source level below it
     chain = request.getfixturevalue(chain_name)
-    widened = []
+    probes = [0]
 
-    def spy(*args):
-        widened.append(args)
-        return default_energy_bracket(*args)
+    def counted(*args):
+        probes[0] += 1
+        return _outward_node_count(*args)
 
-    monkeypatch.setattr(solver, "default_energy_bracket", spy)
+    monkeypatch.setattr(solver, "_outward_node_count", counted)
     for rec, state in ((chain.rec2, chain.v2_state), (chain.rec3, chain.v3_state)):
         good = rec.result
         wrong = dataclasses.replace(good, levels=chain.potential.levels[:len(good.levels)])
         assert wrong.levels != good.levels
-        widened.clear()
+        probes[0] = 0
+        solve_bound_state(good, chain.channel, 0, grid=chain.grid)
+        assert probes[0] == 2                 # the two ends of the known-level bracket
+        probes[0] = 0
         got = solve_bound_state(wrong, chain.channel, 0, grid=chain.grid)
-        assert len(widened) == 1
+        assert probes[0] >= 4                 # ... and of the bracket from the sampled depth
         assert got.energy == pytest.approx(state.energy, abs=1e-8)
         assert np.max(np.abs(got.u - state.u)) < 1e-6
 
@@ -257,6 +246,7 @@ def test_channel_mismatch_rejected():
 
 
 MISMATCHED_CALLS = {
+    "solve_bound_state": lambda pot, ground, ch: solve_bound_state(pot, ch, 0),
     "phase_shift": lambda pot, ground, ch: phase_shift(pot, ch, 5.0),
     "phase_shift_curve": lambda pot, ground, ch: phase_shift_curve(pot, ch, [1.0, 5.0]),
     "solve_at_energy": lambda pot, ground, ch: solve_at_energy(pot, ch, -1.0),
@@ -281,15 +271,6 @@ def test_channel_mismatch_raises_before_any_sweep(name, monkeypatch):
         MISMATCHED_CALLS[name](pot, ground, ChannelConstants(22.81, "n-Be10"))
 
 
-def test_sech_squared_bracket_checks_the_channel_without_sampling(monkeypatch):
-    pot = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
-    monkeypatch.setattr(solver, "values_on_grid", lambda *args: pytest.fail("sampled sech^2"))
-    with pytest.raises(DomainError, match="hbar2_over_2mu"):
-        default_energy_bracket(pot, ChannelConstants(22.81, "n-Be10"))
-    assert default_energy_bracket(pot, CH_D) == (-1.05 * pot.depth, -1e-6)
-    assert pot.depth == pytest.approx(1430.4 / 1.05, rel=1e-4)
-
-
 def test_resolve_samples_on_the_given_or_own_grid(deuteron_chain):
     v3 = deuteron_chain.rec3.result
     v, c, p, g = resolve(v3, CH_D)
@@ -309,9 +290,7 @@ def _riccati_residual(potential, ground, channel) -> float:
     """
     grid = ground.grid
     f = (potential.evaluate(grid.r) - ground.energy) / channel.hbar2_over_2mu
-    du = numerov_first_derivative(ground.u, f, grid.step,
-                                  series_log_derivative(f, 1.0, grid), -ground.kappa)
-    y = du / ground.u
+    y = log_derivative(ground.u, f, 1.0, grid, -ground.kappa)
     residual = (y[2:] - y[:-2]) / (2.0 * grid.step) + y[1:-1] ** 2 - f[1:-1]
     keep = (grid.r[1:-1] >= 1.0) & (grid.r[1:-1] <= 10.0)
     return np.max(np.abs(residual[keep])) / np.max(np.abs(f[1:-1][keep]))
@@ -322,7 +301,8 @@ def test_ground_state_satisfies_the_riccati_equation(chain_name, request):
     # the factorization V1 = E0 + c (y^2 + y') that every SUSY partner is built on
     chain = request.getfixturevalue(chain_name)
     coarse = _riccati_residual(chain.potential, chain.ground, chain.channel)
-    fine_ground = solve_bound_state(chain.potential, chain.channel, 0, grid=chain.grid.halved())
+    finer = RadialGrid(chain.grid.step / 2.0, 2 * chain.grid.n_points)
+    fine_ground = solve_bound_state(chain.potential, chain.channel, 0, grid=finer)
     fine = _riccati_residual(chain.potential, fine_ground, chain.channel)
     assert coarse < 1e-4
     assert fine < coarse / 3.0
@@ -332,10 +312,7 @@ def test_ground_state_satisfies_the_riccati_equation(chain_name, request):
 
 def test_free_particle_regular_solution_is_sine():
     grid = RadialGrid(step=0.01, n_points=1000)
-    zero = SechSquared(1.5, 1.0, CH_D.hbar2_over_2mu)
     # emulate V=0 via a tabulated zero potential
-    from susypep import Tabulated
-
     flat = Tabulated(grid, np.zeros(grid.n_points), 0.0, CH_D.hbar2_over_2mu)
     energy = 5.0
     k = math.sqrt(energy / CH_D.hbar2_over_2mu)
@@ -368,8 +345,6 @@ def test_solve_at_energy_zero_energy_rejected(deuteron_chain):
 def test_solve_at_energy_rescales_instead_of_overflowing(caplog):
     # a strongly repulsive plateau makes the regular solution grow like
     # exp(30 r) over 35 fm; the sweep must rescale and carry on
-    from susypep import Tabulated
-
     grid = default_grid()
     wall = Tabulated(grid, np.full(grid.n_points, 38000.0), 0.0, CH_D.hbar2_over_2mu)
     with caplog.at_level(logging.WARNING):

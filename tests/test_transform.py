@@ -14,7 +14,7 @@ from susypep import (
     remove_lowest,
     solve_bound_state,
 )
-from susypep.solver import numerov_first_derivative, series_log_derivative
+from susypep.solver import log_derivative
 from susypep.transform import INTERMEDIATE, PHASE_EQUIVALENT
 
 CH_D = ChannelConstants(41.47, "n-p")
@@ -132,8 +132,7 @@ def test_log_integral_curvature_against_finite_differences(deuteron_chain):
     h = grid.step
     c = CH_D.hbar2_over_2mu
     f = (deuteron_chain.potential.evaluate(grid.r) - ground.energy) / c
-    y_left = series_log_derivative(f, 1.0, grid)
-    du = numerov_first_derivative(ground.u, f, h, y_left=y_left, y_right=-ground.kappa)
+    du = log_derivative(ground.u, f, 1.0, grid, -ground.kappa) * ground.u
     dens = ground.u**2
     dens_prime = 2.0 * ground.u * du
     core = np.concatenate([[0.0], np.cumsum(0.5 * h * (dens[1:] + dens[:-1]))])
