@@ -11,14 +11,14 @@ the same order, and the rescaled prefix of the reversed sweep is the
 rescaled suffix of the inward one.
 
 ``sweep_outward_batch`` sweeps many energies at once. The fallback runs
-them together in numpy, row by row, at a cost per curve of about four to
-five scalar sweeps whatever the number of energies; shorter curves loop
-over the scalar sweep instead. The compiled backend always loops over its
-own scalar sweep, because one compiled sweep to the match radius takes
-tens of microseconds while the numpy rows take milliseconds per curve
-(28-92 us per energy against 9-23 ms per 5-200-energy curve on 0.01 fm x
-35 fm and 0.005 fm x 100 fm deuteron grids, 2-vCPU Xeon VM), so the loop
-is the faster of the two up to a few hundred energies per curve.
+them together in numpy, row by row, at a cost per curve of about seven
+to eight scalar sweeps whatever the number of energies; shorter curves
+loop over the scalar sweep instead. The compiled backend always loops
+over its own scalar sweep, because one compiled sweep to the match
+radius takes tens of microseconds while the numpy rows take milliseconds
+per curve (28-92 us per energy against 9-23 ms per 5-200-energy curve on
+0.01 fm x 35 fm and 0.005 fm x 100 fm deuteron grids, 2-vCPU Xeon VM), so
+the loop is the faster of the two up to a few hundred energies per curve.
 """
 import os
 
@@ -60,9 +60,10 @@ def _reversed(outward):
 sweep_inward = _reversed(_impl.sweep_outward)
 
 # Fewest energies for which the fallback's numpy rows beat a scalar loop:
-# the two cross at 4-5 energies on 0.01 fm x 35 fm and 0.005 fm x 100 fm
-# deuteron grids (2-vCPU Xeon VM).
-_MIN_BATCH = 5
+# the two cross at 7-8 energies on 0.01 fm x 35 fm and 0.005 fm x 100 fm
+# deuteron V3 grids (rows 7.5-8.0 and 15-16 ms per curve, loop 1.1 and
+# 2.1 ms per energy; best of 21, 2-vCPU Xeon VM).
+_MIN_BATCH = 8
 
 
 def sweep_outward_batch(v, energies, c, h, u0, u1, mid):

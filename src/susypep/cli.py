@@ -31,6 +31,10 @@ from .pipeline import analyze
 from .potentials import analytic_depth, analytic_levels, values_on_grid
 from .solver import solve_bound_state
 
+# largest runs accepted, checked before anything is allocated
+MAX_SWEEP_ENERGIES = 100_000
+MAX_GRID_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -60,6 +64,9 @@ class RunConfig:
                 raise ConfigError(f"{flag} must be finite, got {value}")
         if args.step <= 0 or args.rmax <= 0:
             raise ConfigError("--step and --rmax must be positive")
+        if args.rmax / args.step > MAX_GRID_POINTS + 0.5:   # from_extent rounds it to the count
+            raise ConfigError(f"--rmax {args.rmax} fm in steps of {args.step} fm holds more "
+                              f"than {MAX_GRID_POINTS:,} grid points")
         try:
             grid = RadialGrid.from_extent(args.step, args.rmax)
         except DomainError as exc:
@@ -79,7 +86,10 @@ class RunConfig:
             if not math.isfinite(count):
                 raise ConfigError(f"sweep from {emin} to {emax} MeV in steps of {estep} MeV "
                                   "holds no finite number of energies")
-            n = int(round(count))
+            n = math.floor(count + 1e-9)   # the last energy does not exceed emax
+            if n >= MAX_SWEEP_ENERGIES:
+                raise ConfigError(f"sweep from {emin} to {emax} MeV in steps of {estep} MeV "
+                                  f"holds more than {MAX_SWEEP_ENERGIES:,} energies")
             sweep = emin + estep * np.arange(0, n + 1)
 
         formats = ("csv", "json") if args.format == "both" else (args.format,)
@@ -146,7 +156,7 @@ def cmd_partner(cfg: RunConfig) -> dict:
     chain = analyze(cfg.preset, cfg.grid, removals=cfg.removals)
     print(
         f"partner {cfg.preset.name}: {cfg.removals} removal(s),"
-        f" removed energies {[f'{rec.removed_energy:.4f}' for rec in chain.records[::2]]} MeV"
+        f" removed energies {[f'{rec.ground.energy:.4f}' for rec in chain.records[::2]]} MeV"
     )
     header, r = ["r_fm", "V_MeV"], cfg.grid.r
     files = {"V1.csv": (header, [r, values_on_grid(chain.potential, cfg.grid)])}

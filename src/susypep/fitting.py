@@ -69,8 +69,12 @@ class SystemPreset:
             raise DomainError("coordinate_factor must be 'quarter' or 'unit'")
 
 
-def deuteron_preset() -> SystemPreset:
-    return SystemPreset(
+# the alpha-alpha pair is prescribed; its n = 2 level is the energy target
+_ALPHA_CHANNEL = ChannelConstants(10.375, "alpha-alpha")
+_ALPHA_A_TILDE, _ALPHA_BETA = 5.945, 0.535
+
+PRESETS = {
+    "deuteron": SystemPreset(
         name="deuteron",
         channel=ChannelConstants(41.47, "n-p"),
         target_energy=-2.226,
@@ -80,11 +84,8 @@ def deuteron_preset() -> SystemPreset:
         canonical_a_tilde=3.146,
         canonical_beta=1.587,
         r_proton=0.88,
-    )
-
-
-def be11_preset() -> SystemPreset:
-    return SystemPreset(
+    ),
+    "be11": SystemPreset(
         name="be11",
         channel=ChannelConstants(22.81, "n-Be10"),
         target_energy=-0.503,
@@ -94,34 +95,23 @@ def be11_preset() -> SystemPreset:
         core_mass_number=10,
         r_core=2.3,
         reference_pair=(3.124, 0.694),
-    )
-
-
-def alpha_preset() -> SystemPreset:
-    channel = ChannelConstants(10.375, "alpha-alpha")
-    a_tilde, beta = 5.945, 0.535
-    return SystemPreset(
+    ),
+    "alpha": SystemPreset(
         name="alpha",
-        channel=channel,
-        target_energy=analytic_levels(a_tilde, beta, channel, 2),
+        channel=_ALPHA_CHANNEL,
+        target_energy=analytic_levels(_ALPHA_A_TILDE, _ALPHA_BETA, _ALPHA_CHANNEL, 2),
         target_rms=None,
         physical_node_count=2,
         coordinate_factor="unit",
-        canonical_a_tilde=a_tilde,
-        canonical_beta=beta,
-    )
-
-
-PRESETS = {
-    "deuteron": deuteron_preset,
-    "be11": be11_preset,
-    "alpha": alpha_preset,
+        canonical_a_tilde=_ALPHA_A_TILDE,
+        canonical_beta=_ALPHA_BETA,
+    ),
 }
 
 
 def get_preset(name: str) -> SystemPreset:
     try:
-        return PRESETS[name]()
+        return PRESETS[name]
     except KeyError:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
 

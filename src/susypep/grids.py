@@ -19,6 +19,13 @@ DEFAULT_STEP = 0.01     # fm
 DEFAULT_R_MAX = 35.0    # fm
 
 
+def frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``, for the arrays of immutable results."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform mesh r_k = k*step for k = 1..n_points."""
@@ -51,9 +58,7 @@ class RadialGrid:
     @cached_property
     def r(self) -> np.ndarray:
         """Grid points as an immutable array."""
-        pts = self.step * np.arange(1, self.n_points + 1, dtype=float)
-        pts.flags.writeable = False
-        return pts
+        return frozen(self.step * np.arange(1, self.n_points + 1, dtype=float))
 
     def index_of(self, radius: float) -> int:
         """Index of the grid point closest to `radius`."""

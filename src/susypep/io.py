@@ -14,10 +14,6 @@ from pathlib import Path
 import numpy as np
 
 
-def fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 class OutputWriter:
     """Writes files and finalizes a manifest of their checksums."""
 
@@ -36,7 +32,7 @@ class OutputWriter:
     def write_csv(self, name: str, header: list[str], columns: list[np.ndarray]) -> Path:
         rows = zip(*[np.asarray(col, dtype=float) for col in columns])
         lines = [",".join(header)]
-        lines.extend(",".join(fmt(val) for val in row) for row in rows)
+        lines.extend(",".join(f"{val:.17g}" for val in row) for row in rows)
         return self._write(name, "\n".join(lines) + "\n")
 
     def write_json(self, name: str, payload) -> Path:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .grids import ChannelConstants, RadialGrid, integrate
+from .grids import ChannelConstants, RadialGrid, frozen, integrate
 from .potentials import PotentialModel, values_on_grid
 from .solver import BoundState, _outward_node_count, _series_start, resolve
 from . import _kernels
@@ -166,8 +166,7 @@ class PhaseShiftCurve:
     deltas: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float).copy()
-        d = np.asarray(self.deltas, dtype=float).copy()
+        e, d = frozen(self.energies), frozen(self.deltas)
         if e.shape != d.shape:
             raise DomainError("energies and deltas must have matching shapes")
         if np.any(np.diff(e) <= 0.0):
@@ -178,8 +177,6 @@ class PhaseShiftCurve:
                 "phase-shift curve has a %.3f rad jump between samples; "
                 "sweep step may be too coarse", float(np.max(jumps))
             )
-        e.flags.writeable = False
-        d.flags.writeable = False
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "deltas", d)
 

@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, NoSuchStateError
-from .grids import ChannelConstants, RadialGrid
+from .grids import ChannelConstants, RadialGrid, frozen
 
 
 def sech(x):
@@ -99,15 +99,13 @@ class Tabulated:
     levels: tuple[float, ...] = ()
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = frozen(self.values)
         if vals.shape != (self.grid.n_points,):
             raise DomainError(
                 f"values shape {vals.shape} does not match grid ({self.grid.n_points},)"
             )
         if not np.all(np.isfinite(vals)):
             raise DomainError("tabulated potential values must be finite")
-        vals = vals.copy()
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if self.singular_coefficient < 0.0:
             raise DomainError("singular_coefficient must be >= 0")

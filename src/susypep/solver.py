@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BracketError, ConvergenceError, DomainError
-from .grids import ChannelConstants, RadialGrid, default_grid, integrate
+from .grids import ChannelConstants, RadialGrid, default_grid, frozen, integrate
 from .potentials import PotentialModel, Tabulated, analytic_levels, sech, values_on_grid
 
 log = logging.getLogger(__name__)
@@ -59,9 +59,7 @@ class BoundState:
     def __post_init__(self):
         if self.energy >= 0.0:
             raise DomainError(f"bound-state energy must be negative, got {self.energy}")
-        arr = np.asarray(self.u, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "u", arr)
+        object.__setattr__(self, "u", frozen(self.u))
 
     def summary(self) -> dict:
         return {
@@ -82,9 +80,7 @@ class RegularSolution:
     grid: RadialGrid
 
     def __post_init__(self):
-        arr = np.asarray(self.u, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "u", arr)
+        object.__setattr__(self, "u", frozen(self.u))
 
 
 def _sign_changes(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -56,19 +56,11 @@ class SusyTransformRecord:
     step_kind: str
     result: Tabulated
 
-    @property
-    def removed_energy(self) -> float:
-        return self.ground.energy
-
-    @property
-    def singular_coefficient(self) -> float:
-        return self.result.singular_coefficient
-
     def sidecar(self) -> dict:
         return {
-            "removed_energy_MeV": self.removed_energy,
+            "removed_energy_MeV": self.ground.energy,
             "step_kind": self.step_kind,
-            "singular_coefficient": self.singular_coefficient,
+            "singular_coefficient": self.result.singular_coefficient,
         }
 
 

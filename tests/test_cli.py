@@ -5,6 +5,7 @@ import logging
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from susypep import cli, fitting
@@ -17,6 +18,10 @@ def run(args):
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+def config_of(argv):
+    return cli.RunConfig.from_args(cli._PARSER.parse_args(argv))
 
 
 # fast grid for CLI round trips; accuracy is covered by the physics tests
@@ -211,6 +216,55 @@ def test_sweep_without_a_finite_energy_count_is_config_error(capsys, monkeypatch
     assert "no finite number of energies" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["phase", "--emin", "0.1", "--emax", "1e10", "--estep", "1e-6"], "100,000 energies"),
+    (["report", "--emin", "1", "--emax", "100001", "--estep", "1"], "100,000 energies"),
+    (["spectrum", "--rmax", "1e12"], "1,000,000 grid points"),
+    (["partner", "--step", "0.0001", "--rmax", "100.0001"], "1,000,000 grid points"),
+    (["fit", "--step", "1e-300", "--rmax", "1e300"], "1,000,000 grid points"),
+], ids=["sweep-1e16", "sweep-100001", "grid-1e14", "grid-1000001", "grid-inf"])
+def test_oversized_sweep_or_grid_is_config_error(argv, message, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "analyze", lambda *a, **kw: pytest.fail("solved before validating"))
+    assert run(argv + ["--preset", "deuteron"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_stops_at_emax_and_the_size_limits_are_inclusive():
+    def sweep(emin, emax, estep):
+        return config_of(["phase", "--preset", "deuteron", "--emin", emin, "--emax", emax,
+                          "--estep", estep]).sweep
+
+    assert np.array_equal(sweep("1", "4.5", "1"), [1.0, 2.0, 3.0, 4.0])   # 3.5 steps: no 5 MeV
+    assert np.array_equal(sweep("1", "4", "1"), [1.0, 2.0, 3.0, 4.0])
+    assert len(sweep("0.1", "0.3", "0.1")) == 3   # 1.9999999999999998 steps
+    assert len(sweep("1", "100000", "1")) == cli.MAX_SWEEP_ENERGIES
+    argv = ["spectrum", "--preset", "deuteron", "--step", "0.0001", "--rmax", "100"]
+    assert config_of(argv).grid.n_points == cli.MAX_GRID_POINTS
+
+
+def test_benchmark_jobs_pass_validation_and_get_the_benchmark_sweeps(tmp_path, monkeypatch):
+    # the benchmark's own job generator and sweep rule, imported read-only
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    jobs = importlib.import_module("perfbench.jobs")
+    checks = importlib.import_module("perfbench.checks")
+    config = tmp_path / "custom.cfg"
+    largest_sweep = largest_grid = 0
+    for workload in jobs.WORKLOADS:
+        for seed in range(4):
+            cycles = jobs.cycles(workload, seed)
+            for job in [jobs.warmup_job(workload)] + [j for _ in range(8) for j in next(cycles)]:
+                if job["config"] is not None:
+                    config.write_text(jobs.config_text(job["config"]), encoding="utf-8")
+                cfg = config_of([str(config) if a == "{config}" else a for a in job["argv"]])
+                largest_grid = max(largest_grid, cfg.grid.n_points)
+                if job["sweep"] is not None:
+                    assert np.array_equal(cfg.sweep, checks.sweep_energies(job["sweep"])), job
+                    largest_sweep = max(largest_sweep, len(cfg.sweep))
+    # the limits leave the benchmark's largest runs a wide margin
+    assert 10 * largest_sweep <= cli.MAX_SWEEP_ENERGIES
+    assert 10 * largest_grid <= cli.MAX_GRID_POINTS
+
+
 @pytest.mark.parametrize("line", ["hbar2_over_2mu = inf", "target_energy = -inf",
                                   "target_rms = inf"])
 def test_infinite_value_in_a_config_file_is_config_error(line, tmp_path, capsys):
@@ -227,7 +281,7 @@ def test_infinite_value_in_a_config_file_is_config_error(line, tmp_path, capsys)
 
 
 def test_every_registered_preset_can_be_selected(monkeypatch):
-    monkeypatch.setitem(fitting.PRESETS, "deuteron2", fitting.deuteron_preset)
+    monkeypatch.setitem(fitting.PRESETS, "deuteron2", fitting.PRESETS["deuteron"])
     assert cli._PARSER.parse_args(["fit", "--preset", "deuteron2"]).preset == "deuteron2"
     with pytest.raises(SystemExit):
         cli._PARSER.parse_args(["fit", "--preset", "carbon"])

@@ -161,22 +161,22 @@ def test_remove_lowest_records(deuteron_chain):
     rec2, rec3 = deuteron_chain.rec2, deuteron_chain.rec3
     assert rec2.step_kind == INTERMEDIATE
     assert rec3.step_kind == PHASE_EQUIVALENT
-    assert rec2.removed_energy == pytest.approx(-481.0, abs=1.0)
-    assert rec2.removed_energy == rec3.removed_energy
+    assert rec2.ground.energy == pytest.approx(-481.0, abs=1.0)
+    assert rec2.ground.energy == rec3.ground.energy
     assert rec2.sidecar()["singular_coefficient"] == pytest.approx(2.0)
 
 
 def test_remove_lowest_on_be11_removes_analytic_ground(be11_chain):
     expected = analytic_levels(be11_chain.a_tilde, be11_chain.beta, be11_chain.channel, 0)
-    assert be11_chain.rec2.removed_energy == pytest.approx(expected, rel=1e-6)
+    assert be11_chain.rec2.ground.energy == pytest.approx(expected, rel=1e-6)
 
 
 def test_single_state_potential_empties(deuteron_chain):
     # the deuteron V3 has exactly one state; removing it leaves none
     rec2, rec3 = remove_lowest(deuteron_chain.rec3.result, CH_D)
     assert count_bound_states(rec3.result, CH_D) == 0
-    assert rec2.singular_coefficient == pytest.approx(12.0)   # l_eff 2 -> 3
-    assert rec3.singular_coefficient == pytest.approx(20.0)   # l_eff 2 -> 4
+    assert rec2.result.singular_coefficient == pytest.approx(12.0)   # l_eff 2 -> 3
+    assert rec3.result.singular_coefficient == pytest.approx(20.0)   # l_eff 2 -> 4
 
 
 def test_iterate_zero_is_identity(deuteron_chain):
@@ -186,8 +186,8 @@ def test_iterate_zero_is_identity(deuteron_chain):
 def test_iterate_one_equals_remove_lowest(deuteron_chain):
     records = iterate_removals(deuteron_chain.potential, CH_D, 1, grid=deuteron_chain.grid)
     assert len(records) == 2
-    assert records[0].removed_energy == pytest.approx(
-        deuteron_chain.rec2.removed_energy, abs=1e-9
+    assert records[0].ground.energy == pytest.approx(
+        deuteron_chain.rec2.ground.energy, abs=1e-9
     )
     np.testing.assert_allclose(
         records[1].result.values, deuteron_chain.rec3.result.values, rtol=0, atol=1e-9
@@ -226,5 +226,5 @@ def test_partners_know_the_source_spectrum_minus_the_removed_level(chain_name, r
 
 def test_singular_coefficient_ladder(alpha_chain):
     records = iterate_removals(alpha_chain.potential, CH_A, 2, grid=alpha_chain.grid)
-    coefficients = [rec.singular_coefficient for rec in records]
+    coefficients = [rec.result.singular_coefficient for rec in records]
     assert coefficients == pytest.approx([2.0, 6.0, 12.0, 20.0])
