@@ -7,9 +7,9 @@ Each subcommand is one row of ``_COMMANDS``: its handler, its help text and
 the options it adds to the common ones; the parser is built from that table
 once, at import. A handler prints its summary and returns the files it
 produces as ``{name: content}``, a JSON payload for ``*.json`` and
-``(header, columns)`` for ``*.csv``. ``main`` alone writes them: under
-``--out`` it keeps the files whose type ``--format`` selects and records
-them in ``manifest.json``.
+``(header, columns)`` for ``*.csv``; every JSON key is spelled here and
+nowhere else. ``main`` alone writes the files: under ``--out`` it keeps
+the ones whose type ``--format`` selects and records them in ``manifest.json``.
 """
 from __future__ import annotations
 
@@ -112,11 +112,17 @@ def _reference_pair_notes(preset: SystemPreset) -> list[str]:
     ]
 
 
+def _fit_entry(fit) -> dict:
+    return {"a_tilde": fit.a_tilde, "beta_per_fm": fit.beta,
+            "achieved_energy_MeV": fit.achieved_energy, "achieved_rms_fm": fit.achieved_rms,
+            "energy_residual_MeV": fit.energy_residual, "rms_residual_fm": fit.rms_residual,
+            "iterations": fit.iterations}
+
+
 def cmd_fit(cfg: RunConfig) -> dict:
     preset = cfg.preset
     result = fit_parameters(preset, grid=cfg.grid)
-    payload = result.to_dict()
-    payload["system"] = preset.name
+    payload = {**_fit_entry(result), "system": preset.name}
     notes = _reference_pair_notes(preset)
     if notes:
         payload["notes"] = notes
@@ -148,7 +154,7 @@ def cmd_spectrum(cfg: RunConfig) -> dict:
     payload = {"system": preset.name, "a_tilde": a_tilde, "beta_per_fm": beta,
                "depth_MeV": depth, "levels": levels}
     if chain.fit is not None:
-        payload["fit"] = chain.fit.to_dict()
+        payload["fit"] = _fit_entry(chain.fit)
     return {f"spectrum_{preset.name}.json": payload}
 
 
@@ -160,13 +166,15 @@ def cmd_partner(cfg: RunConfig) -> dict:
     )
     header, r = ["r_fm", "V_MeV"], cfg.grid.r
     files = {"V1.csv": (header, [r, values_on_grid(chain.potential, cfg.grid)])}
-    sidecars = []
-    for i, rec in enumerate(chain.records):
+    entries = []
+    for i, rec in enumerate(chain.records):   # (V2, V3) per removal
         suffix = f"_removal{i // 2 + 1}" if i >= 2 else ""
         name = f"V{2 + i % 2}{suffix}.csv"
         files[name] = (header, [r, rec.result.values])
-        sidecars.append({**rec.sidecar(), "file": name})
-    files["records.json"] = {"system": cfg.preset.name, "records": sidecars}
+        entries.append({"file": name, "removed_energy_MeV": rec.ground.energy,
+                        "step_kind": ("intermediate", "phase_equivalent")[i % 2],
+                        "singular_coefficient": rec.result.singular_coefficient})
+    files["records.json"] = {"system": cfg.preset.name, "records": entries}
     return files
 
 
@@ -185,9 +193,11 @@ def cmd_report(cfg: RunConfig) -> dict:
     rms = {label: rms_radius(state, preset.coordinate_factor) for label, state in states.items()}
     payload = {"system": preset.name, "rms_fm": rms, "a_tilde": chain.a_tilde,
                "beta_per_fm": chain.beta,
-               "states": {label: state.summary() for label, state in states.items()}}
+               "states": {label: {"energy_MeV": s.energy, "nodes": s.nodes,
+                                  "kappa_per_fm": s.kappa, "norm_residual": s.norm_residual}
+                          for label, s in states.items()}}
     if chain.fit is not None:
-        payload["fit"] = chain.fit.to_dict()
+        payload["fit"] = _fit_entry(chain.fit)
     if preset.r_proton is not None:
         payload["charge_radius_fm"] = charge_radius(preset.r_proton, rms["deep"])
     if preset.core_mass_number is not None and preset.r_core is not None:

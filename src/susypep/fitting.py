@@ -126,17 +126,6 @@ class FitResult:
     rms_residual: float
     iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "a_tilde": self.a_tilde,
-            "beta_per_fm": self.beta,
-            "achieved_energy_MeV": self.achieved_energy,
-            "achieved_rms_fm": self.achieved_rms,
-            "energy_residual_MeV": self.energy_residual,
-            "rms_residual_fm": self.rms_residual,
-            "iterations": self.iterations,
-        }
-
 
 def a_tilde_from_energy(energy: float, beta: float, channel: ChannelConstants, n: int) -> float:
     """Exact inversion of the level formula for the strength parameter."""

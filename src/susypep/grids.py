@@ -8,6 +8,7 @@ sliver explicitly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,10 +35,10 @@ class RadialGrid:
     n_points: int
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise DomainError(f"grid step must be > 0, got {self.step}")
-        if self.n_points < 100:
-            raise DomainError(f"need at least 100 grid points, got {self.n_points}")
+        if not 0.0 < self.step < math.inf:
+            raise DomainError(f"grid step must be finite and > 0, got {self.step}")
+        if not isinstance(self.n_points, numbers.Integral) or self.n_points < 100:
+            raise DomainError(f"need at least 100 grid points, a whole number, got {self.n_points}")
 
     @classmethod
     def from_extent(cls, step: float = DEFAULT_STEP, r_max: float = DEFAULT_R_MAX) -> "RadialGrid":

@@ -67,8 +67,8 @@ def rms_radius(state: BoundState, coordinate_factor: str = "unit") -> float:
 
 def charge_radius(r_proton: float, r_rms: float) -> float:
     """R_charge = sqrt(R_p^2 / 2 + R_rms^2 / 4)."""
-    if r_proton < 0.0 or r_rms < 0.0:
-        raise DomainError("radii must be >= 0")
+    if not all(0.0 <= x < math.inf for x in (r_proton, r_rms)):
+        raise DomainError(f"radii must be finite and >= 0, got {r_proton}, {r_rms}")
     return math.sqrt(0.5 * r_proton**2 + 0.25 * r_rms**2)
 
 
@@ -79,8 +79,8 @@ def matter_radius(core_mass_number: int, r_core: float, r_rms: float) -> float:
     """
     if core_mass_number < 1:
         raise DomainError(f"core mass number must be >= 1, got {core_mass_number}")
-    if r_core < 0.0 or r_rms < 0.0:
-        raise DomainError("radii must be >= 0")
+    if not all(0.0 <= x < math.inf for x in (r_core, r_rms)):
+        raise DomainError(f"radii must be finite and >= 0, got {r_core}, {r_rms}")
     w = float(core_mass_number)
     return math.sqrt(w / (w + 1.0) * r_core**2 + w / (w + 1.0) ** 2 * r_rms**2)
 

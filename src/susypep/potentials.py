@@ -107,8 +107,11 @@ class Tabulated:
         if not np.all(np.isfinite(vals)):
             raise DomainError("tabulated potential values must be finite")
         object.__setattr__(self, "values", vals)
-        if self.singular_coefficient < 0.0:
-            raise DomainError("singular_coefficient must be >= 0")
+        if not 0.0 <= self.singular_coefficient < math.inf:
+            raise DomainError(f"singular_coefficient must be finite and >= 0, got "
+                              f"{self.singular_coefficient}")
+        if not 0.0 < self.hbar2_over_2mu < math.inf:
+            raise DomainError(f"hbar2_over_2mu must be finite and > 0, got {self.hbar2_over_2mu}")
         levels = tuple(float(e) for e in self.levels)
         if not all(math.isfinite(e) and e < above for e, above in zip(levels, levels[1:] + (0.0,))):
             raise DomainError(f"levels must be finite bound energies, lowest first, got {levels}")
@@ -144,6 +147,8 @@ def analytic_levels(a_tilde: float, beta: float, channel: ChannelConstants, n: i
     """
     if n < 0:
         raise DomainError(f"state index must be >= 0, got {n}")
+    if not (math.isfinite(a_tilde) and math.isfinite(beta)):
+        raise DomainError(f"a_tilde and beta must be finite, got {a_tilde}, {beta}")
     kappa_factor = a_tilde - 2.0 * n - 1.0
     if kappa_factor <= 0.0:
         raise NoSuchStateError(
@@ -154,13 +159,15 @@ def analytic_levels(a_tilde: float, beta: float, channel: ChannelConstants, n: i
 
 def analytic_depth(a_tilde: float, beta: float, channel: ChannelConstants) -> float:
     """Well depth V0 = c At (At + 1) beta^2, MeV (positive magnitude)."""
-    if a_tilde < 0.0 or beta < 0.0:
-        raise DomainError("a_tilde and beta must be >= 0")
+    if not (0.0 <= a_tilde < math.inf and 0.0 <= beta < math.inf):
+        raise DomainError(f"a_tilde and beta must be finite and >= 0, got {a_tilde}, {beta}")
     return channel.hbar2_over_2mu * a_tilde * (a_tilde + 1.0) * beta**2
 
 
 def level_count(a_tilde: float) -> int:
     """Number of half-line bound states: indices n with At - 2n - 1 > 0."""
+    if not math.isfinite(a_tilde):
+        raise DomainError(f"a_tilde must be finite, got {a_tilde}")
     if a_tilde <= 1.0:
         return 0
     # largest n with 2n + 1 < a_tilde

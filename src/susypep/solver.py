@@ -57,17 +57,9 @@ class BoundState:
     norm_residual: float = 0.0
 
     def __post_init__(self):
-        if self.energy >= 0.0:
-            raise DomainError(f"bound-state energy must be negative, got {self.energy}")
+        if not -math.inf < self.energy < 0.0:
+            raise DomainError(f"bound-state energy must be finite and negative, got {self.energy}")
         object.__setattr__(self, "u", frozen(self.u))
-
-    def summary(self) -> dict:
-        return {
-            "energy_MeV": self.energy,
-            "nodes": self.nodes,
-            "kappa_per_fm": self.kappa,
-            "norm_residual": self.norm_residual,
-        }
 
 
 @dataclass(frozen=True)

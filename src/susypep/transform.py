@@ -40,28 +40,16 @@ from .solver import (
 
 log = logging.getLogger(__name__)
 
-INTERMEDIATE = "intermediate"
-PHASE_EQUIVALENT = "phase_equivalent"
-
 _N_REPLACED = 3       # leading mesh points represented by the singular law
 _N_FIT = 3            # points of the parabola for the smooth remainder
 
 
 @dataclass(frozen=True)
 class SusyTransformRecord:
-    """Provenance of one transformed potential."""
+    """One transformed potential and the state its source lost."""
 
-    source: PotentialModel
-    ground: BoundState            # the removed state of ``source``
-    step_kind: str
+    ground: BoundState            # the removed lowest state of the source
     result: Tabulated
-
-    def sidecar(self) -> dict:
-        return {
-            "removed_energy_MeV": self.ground.energy,
-            "step_kind": self.step_kind,
-            "singular_coefficient": self.result.singular_coefficient,
-        }
 
 
 def _ground_log_derivative(
@@ -183,13 +171,10 @@ def remove_lowest(
     channel: ChannelConstants,
     grid: RadialGrid | None = None,
 ) -> tuple[SusyTransformRecord, SusyTransformRecord]:
-    """Solve the lowest state of ``source`` and build both partner records."""
+    """Solve the lowest state of ``source`` and build its (V2, V3) partner records."""
     ground = solve_bound_state(source, channel, target_nodes=0, grid=grid)
-    v2 = build_intermediate(source, ground, channel)
-    v3 = build_pep(source, ground, channel)
-    rec2 = SusyTransformRecord(source, ground, INTERMEDIATE, v2)
-    rec3 = SusyTransformRecord(source, ground, PHASE_EQUIVALENT, v3)
-    return rec2, rec3
+    return (SusyTransformRecord(ground, build_intermediate(source, ground, channel)),
+            SusyTransformRecord(ground, build_pep(source, ground, channel)))
 
 
 def iterate_removals(

@@ -131,6 +131,64 @@ def test_partner_iterated_chain_files(tmp_path):
     assert len(records) == 4
 
 
+def key_paths(payload, prefix=""):
+    """Every key of a JSON payload as a dotted path; list items share their list's path."""
+    if isinstance(payload, list):
+        return set().union(*(key_paths(item, prefix) for item in payload))
+    if not isinstance(payload, dict):
+        return set()
+    return set().union(*({prefix + key} | key_paths(value, f"{prefix}{key}.")
+                         for key, value in payload.items()))
+
+
+def _under(prefix, keys):
+    return {prefix} | {f"{prefix}.{key}" for key in keys}
+
+
+_FIT_KEYS = {"a_tilde", "beta_per_fm", "achieved_energy_MeV", "achieved_rms_fm",
+             "energy_residual_MeV", "rms_residual_fm", "iterations"}
+_SPECTRUM_KEYS = {"system", "a_tilde", "beta_per_fm", "depth_MeV"} | _under(
+    "levels", {"n", "analytic_MeV", "numerical_MeV", "nodes", "kappa_per_fm"})
+_REPORT_KEYS = ({"system", "a_tilde", "beta_per_fm", "states"}
+                | _under("rms_fm", {"deep", "intermediate", "pep"})
+                | set().union(*(_under(f"states.{label}", {"energy_MeV", "nodes", "kappa_per_fm",
+                                                          "norm_residual"})
+                                for label in ("deep", "intermediate", "pep"))))
+_TRANSFER_KEYS = {"transfer"} | set().union(*(
+    _under(f"transfer.{label}", {"d0_MeV_fm32", "d0_squared_MeV2_fm3"})
+    for label in ("deep", "pep")))
+
+# command -> key set of each JSON file it writes besides manifest.json
+_LAYOUTS = {
+    "fit --preset deuteron": {"fit_deuteron.json": {"system"} | _FIT_KEYS},
+    "fit --preset be11": {"fit_be11.json": {"system", "notes"} | _FIT_KEYS},
+    "spectrum --preset deuteron": {"spectrum_deuteron.json": _SPECTRUM_KEYS},
+    "spectrum --preset be11": {"spectrum_be11.json": _SPECTRUM_KEYS | _under("fit", _FIT_KEYS)},
+    "report --preset deuteron": {"report_deuteron.json": _REPORT_KEYS | _TRANSFER_KEYS
+                                 | {"charge_radius_fm", "cross_section_ratio"}},
+    "report --preset be11": {"report_be11.json": _REPORT_KEYS | _under("fit", _FIT_KEYS)
+                             | {"matter_radius_fm", "notes"}},
+    "partner --preset alpha --removals 2": {"records.json": {"system"} | _under(
+        "records", {"file", "removed_energy_MeV", "step_kind", "singular_coefficient"})},
+    "transfer-ratio --preset deuteron": {"transfer_ratio.json": {
+        "system", "d0_squared_deep_MeV2_fm3", "d0_squared_pep_MeV2_fm3", "cross_section_ratio"}},
+}
+
+
+@pytest.mark.parametrize("command", _LAYOUTS)
+def test_json_layout_of_every_command(tmp_path, command):
+    assert run(command.split() + ["--out", str(tmp_path)] + FAST) == 0
+    layouts = {**_LAYOUTS[command], "manifest.json": _under("files", {"path", "sha256"})}
+    assert {path.name for path in tmp_path.glob("*.json")} == set(layouts)
+    for name, keys in layouts.items():
+        assert key_paths(read_json(tmp_path / name)) == keys, name
+    if "records.json" in layouts:
+        records = read_json(tmp_path / "records.json")["records"]
+        assert [(rec["file"], rec["step_kind"]) for rec in records] == [
+            ("V2.csv", "intermediate"), ("V3.csv", "phase_equivalent"),
+            ("V2_removal2.csv", "intermediate"), ("V3_removal2.csv", "phase_equivalent")]
+
+
 def test_partner_too_many_removals_exits_2(tmp_path, capsys):
     code = run(
         ["partner", "--preset", "deuteron", "--removals", "5", "--out", str(tmp_path)] + FAST

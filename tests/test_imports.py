@@ -1,5 +1,6 @@
 """Every name a module imports is used in it (pyflakes' F401, without pyflakes),
-and every local a function assigns is read (F841).
+every local a function assigns is read (F841), and every module-level private
+name of the package is referenced in the package.
 
 The scan covers the package, the tests and the tools. ``__init__`` modules
 are skipped by the import check: their imports are the package's exports.
@@ -7,6 +8,9 @@ An import line marked ``# noqa: F401`` is kept on purpose and is exempt.
 The local check looks at simple ``name = ...`` assignments in a function
 body; loop and unpacking targets are exempt, and a read in a nested
 function counts.
+A private name is a module-level ``_name`` function, class or assignment
+(dunders excluded); a load of it, an attribute of that name or an import of
+it anywhere in ``src/susypep`` counts as a reference.
 """
 import ast
 from pathlib import Path
@@ -57,6 +61,33 @@ def unused_locals(source: str) -> list[str]:
     return sorted(found)
 
 
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{module}:{node.lineno} {name}" for name in names
+                      if name.startswith("_") and not name.endswith("__")
+                      and name not in referenced]
+    return found
+
+
 def test_the_scan_sees_unused_imports_and_honours_noqa():
     source = ("import os\nimport numpy as np\nfrom math import pi, tau\n"
               "from . import kept  # noqa: F401\nprint(np.pi, tau)\n")
@@ -68,6 +99,14 @@ def test_the_scan_sees_unread_locals_but_not_loop_or_unpacking_targets():
               "    for x in items:\n        pass\n"
               "    def g():\n        inner = kept\n        return 0\n    return g\n")
     assert unused_locals(source) == ["line 2: dead", "line 8: inner"]
+
+
+def test_the_scan_sees_unreferenced_private_names():
+    sources = {"a.py": ("_DEAD = 1\n_USED, _LOST = 2, 3\ndef _helper():\n    return _USED\n"
+                        "class _Kept:\n    pass\n__version__ = '0'\n"),
+               "b.py": "from .a import _Kept\nimport c\nprint(c._attr)\n_attr = 1\n"}
+    assert unreferenced_private_names(sources) == ["a.py:1 _DEAD", "a.py:2 _LOST",
+                                                   "a.py:3 _helper"]
 
 
 def _module_id(path: Path) -> str:
@@ -82,3 +121,9 @@ def test_module_uses_every_name_it_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_module_reads_every_local_it_assigns(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_private_name_of_the_package_is_referenced():
+    sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+               for path in sorted(SRC.rglob("*.py"))}
+    assert unreferenced_private_names(sources) == []

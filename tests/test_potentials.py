@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from susypep import (
+    BoundState,
     ChannelConstants,
     DomainError,
     NoSuchStateError,
@@ -12,7 +14,10 @@ from susypep import (
     Tabulated,
     analytic_depth,
     analytic_levels,
+    analytic_pt_state,
+    charge_radius,
     level_count,
+    matter_radius,
 )
 
 CH_D = ChannelConstants(41.47, "n-p")
@@ -56,6 +61,27 @@ def test_tabulated_levels_must_be_bound_energies_lowest_first(levels):
         Tabulated(grid, np.zeros(200), 0.0, 41.47, levels=levels)
 
 
+_GRID = RadialGrid(step=0.01, n_points=200)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RadialGrid(math.inf, 100),
+    lambda: RadialGrid(0.01, 1000.5),
+    lambda: Tabulated(_GRID, np.zeros(200), math.nan, 41.47),
+    lambda: Tabulated(_GRID, np.zeros(200), math.inf, 41.47),
+    lambda: Tabulated(_GRID, np.zeros(200), 0.0, math.nan),
+    lambda: Tabulated(_GRID, np.zeros(200), 0.0, math.inf),
+    lambda: Tabulated(_GRID, np.zeros(200), 0.0, 0.0),
+    lambda: BoundState(math.nan, 0, np.ones(200), 1.0, _GRID),
+    lambda: BoundState(-math.inf, 0, np.ones(200), 1.0, _GRID),
+], ids=["step-inf", "n_points-fractional", "singular-nan", "singular-inf", "hbar2-nan",
+        "hbar2-inf", "hbar2-zero", "energy-nan", "energy-minus-inf"])
+def test_value_types_reject_non_finite_fields(make):
+    assert RadialGrid(0.01, np.int64(200)) == _GRID    # numpy integers count as integral
+    with pytest.raises(DomainError):
+        make()
+
+
 # --- closed-form spectrum -----------------------------------------------------
 
 def test_deuteron_levels_match_reference_values():
@@ -96,3 +122,27 @@ def test_level_count_examples():
     assert level_count(1.0) == 0
     assert level_count(3.0) == 1
 
+
+@pytest.mark.parametrize("call", [
+    lambda: analytic_levels(math.inf, 1.0, CH_D, 0),
+    lambda: analytic_levels(math.nan, 1.0, CH_D, 0),
+    lambda: analytic_levels(3.0, math.inf, CH_D, 0),
+    lambda: analytic_levels(3.0, math.nan, CH_D, 0),
+    lambda: analytic_depth(3.0, math.inf, CH_D),
+    lambda: analytic_depth(math.nan, 1.0, CH_D),
+    lambda: level_count(math.nan),
+    lambda: level_count(math.inf),
+    lambda: analytic_pt_state(3.146, math.nan, CH_D, 0),
+    lambda: analytic_pt_state(math.inf, 1.587, CH_D, 0),
+    lambda: charge_radius(0.88, math.nan),
+    lambda: charge_radius(math.inf, 2.0),
+    lambda: matter_radius(10, 2.3, math.inf),
+    lambda: matter_radius(10, math.nan, 6.7),
+], ids=["levels-a-inf", "levels-a-nan", "levels-beta-inf", "levels-beta-nan", "depth-beta-inf",
+        "depth-a-nan", "count-nan", "count-inf", "pt-beta-nan", "pt-a-inf", "charge-rms-nan",
+        "charge-proton-inf", "matter-rms-inf", "matter-core-nan"])
+def test_closed_form_and_radius_helpers_reject_non_finite_input(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()
