@@ -56,8 +56,7 @@ from .solver import (
 )
 from .transform import (
     SusyTransformRecord,
-    build_intermediate,
-    build_pep,
+    build_partners,
     build_pep_via_intermediate,
     iterate_removals,
     remove_lowest,

@@ -31,9 +31,7 @@ from .pipeline import analyze
 from .potentials import analytic_depth, analytic_levels, values_on_grid
 from .solver import solve_bound_state
 
-# largest runs accepted, checked before anything is allocated
-MAX_SWEEP_ENERGIES = 100_000
-MAX_GRID_POINTS = 1_000_000
+MAX_SWEEP_ENERGIES = 100_000   # largest sweep accepted, checked before anything is allocated
 
 
 @dataclass(frozen=True)
@@ -57,20 +55,14 @@ class RunConfig:
         else:
             raise ConfigError("one of --preset or --config is required")
 
-        bounds = [getattr(args, name, None) for name in ("emin", "emax", "estep")]
-        for flag, value in zip(("--step", "--rmax", "--emin", "--emax", "--estep"),
-                               [args.step, args.rmax] + bounds):
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{flag} must be finite, got {value}")
-        if args.step <= 0 or args.rmax <= 0:
-            raise ConfigError("--step and --rmax must be positive")
-        if args.rmax / args.step > MAX_GRID_POINTS + 0.5:   # from_extent rounds it to the count
-            raise ConfigError(f"--rmax {args.rmax} fm in steps of {args.step} fm holds more "
-                              f"than {MAX_GRID_POINTS:,} grid points")
         try:
             grid = RadialGrid.from_extent(args.step, args.rmax)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
+        bounds = [getattr(args, name, None) for name in ("emin", "emax", "estep")]
+        for flag, value in zip(("--emin", "--emax", "--estep"), bounds):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{flag} must be finite, got {value}")
         removals = getattr(args, "removals", 1)
         if removals < 0:
             raise ConfigError(f"--removals must be >= 0, got {removals}")

@@ -129,10 +129,10 @@ class FitResult:
 
 def a_tilde_from_energy(energy: float, beta: float, channel: ChannelConstants, n: int) -> float:
     """Exact inversion of the level formula for the strength parameter."""
-    if not energy < 0.0:
-        raise DomainError(f"bound energy must be < 0, got {energy}")
-    if not beta > 0.0:
-        raise DomainError(f"beta must be > 0, got {beta}")
+    if not -math.inf < energy < 0.0:
+        raise DomainError(f"bound energy must be finite and < 0, got {energy}")
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"beta must be finite and > 0, got {beta}")
     if n < 0:
         raise DomainError(f"state index must be >= 0, got {n}")
     return 2.0 * n + 1.0 + math.sqrt(-energy / channel.hbar2_over_2mu) / beta

@@ -18,6 +18,7 @@ from .errors import DomainError
 
 DEFAULT_STEP = 0.01     # fm
 DEFAULT_R_MAX = 35.0    # fm
+MAX_GRID_POINTS = 1_000_000   # largest mesh accepted, checked before anything is allocated
 
 
 def frozen(values) -> np.ndarray:
@@ -37,16 +38,20 @@ class RadialGrid:
     def __post_init__(self):
         if not 0.0 < self.step < math.inf:
             raise DomainError(f"grid step must be finite and > 0, got {self.step}")
-        if not isinstance(self.n_points, numbers.Integral) or self.n_points < 100:
-            raise DomainError(f"need at least 100 grid points, a whole number, got {self.n_points}")
+        n = self.n_points
+        if not isinstance(n, numbers.Integral) or not 100 <= n <= MAX_GRID_POINTS:
+            raise DomainError(f"need at least 100 grid points and at most {MAX_GRID_POINTS:,}, "
+                              f"a whole number, got {n}")
 
     @classmethod
     def from_extent(cls, step: float = DEFAULT_STEP, r_max: float = DEFAULT_R_MAX) -> "RadialGrid":
-        if not step > 0.0:
-            raise DomainError(f"grid step must be > 0, got {step}")
-        if not math.isfinite(r_max):
-            raise DomainError(f"grid extent must be finite, got {r_max}")
-        return cls(step=step, n_points=int(round(r_max / step)))
+        if not (0.0 < step < math.inf and 0.0 < r_max < math.inf):
+            raise DomainError(f"grid step and extent must be finite and > 0, got {step}, {r_max}")
+        count = r_max / step   # checked before rounding: an infinite count has no integer
+        if count > MAX_GRID_POINTS + 0.5:
+            raise DomainError(f"{r_max} fm in steps of {step} fm holds more than "
+                              f"{MAX_GRID_POINTS:,} grid points")
+        return cls(step=step, n_points=int(round(count)))
 
     @property
     def r_min(self) -> float:

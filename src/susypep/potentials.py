@@ -37,8 +37,8 @@ def sech(x):
 
 def _check_positive_r(r) -> np.ndarray:
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("potentials are defined for r > 0 only")
+    if not np.all((arr > 0.0) & (arr < math.inf)):   # also false for nan
+        raise DomainError("potentials are defined for finite r > 0 only")
     return arr
 
 

@@ -10,9 +10,11 @@ builds the phase-equivalent partner from the integral form
     V3 = V1 - 2 c (d^2/dr^2) ln I,    I(r) = int_0^r u0^2 dr',
 
 using the analytic identity (ln I)'' = 2 u0 u0'/I - (u0^2/I)^2 so that no
-second numerical derivative is ever taken. The equivalent route through
-the regular solution of V2 at E0 (``build_pep_via_intermediate``) is kept
-as an independent cross-check of the production path.
+second numerical derivative is ever taken. ``build_partners`` builds V2
+and V3 together from one sampling of V1 and one u0'/u0. The equivalent
+route through the regular solution of V2 at E0
+(``build_pep_via_intermediate``) is kept as an independent cross-check of
+the production path.
 
 Near the origin the transformed potentials follow an exact c_sing/r^2 law
 (l_eff grows by 1 for V2 and by 2 for V3); the first three mesh points are
@@ -21,7 +23,6 @@ remainder, which avoids the cancellation-dominated region where I ~ r^3.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,6 @@ from .solver import (
     solve_bound_state,
 )
 
-log = logging.getLogger(__name__)
-
 _N_REPLACED = 3       # leading mesh points represented by the singular law
 _N_FIT = 3            # points of the parabola for the smooth remainder
 
@@ -50,25 +49,6 @@ class SusyTransformRecord:
 
     ground: BoundState            # the removed lowest state of the source
     result: Tabulated
-
-
-def _ground_log_derivative(
-    ground: BoundState, v_source: np.ndarray, p_source: float, c: float
-) -> np.ndarray:
-    """u0'/u0 on the grid with series/asymptotic endpoint values.
-
-    Once the source potential has decayed to numerical irrelevance the
-    log-derivative is pinned to its exact asymptote -kappa; the O(h^4)
-    truncation of the discrete derivative would otherwise leave a constant
-    noise floor ~h^4 kappa^5 in the transformed potential's tail.
-    """
-    y = log_derivative(ground.u, (v_source - ground.energy) / c, p_source, ground.grid,
-                       -ground.kappa)
-    threshold = 1e-12 * max(1.0, float(np.max(np.abs(v_source))))
-    alive = np.nonzero(np.abs(v_source) >= threshold)[0]
-    if alive.size and alive[-1] + 1 < y.size:
-        y[alive[-1] + 1:] = -ground.kappa
-    return y
 
 
 def _with_origin_law(v: np.ndarray, c_sing: float, c: float, grid: RadialGrid) -> np.ndarray:
@@ -83,10 +63,13 @@ def _with_origin_law(v: np.ndarray, c_sing: float, c: float, grid: RadialGrid) -
 
 
 def _resolve_source(source: PotentialModel, ground: BoundState, channel: ChannelConstants):
-    """(v1, c, p, y): the source on the ground state's grid and u0'/u0 there.
+    """(v1, c, p, y): the source on the ground state's grid and y = u0'/u0 there.
 
     The ground state must be the nodeless lowest state: the log-derivative
-    construction divides by it.
+    construction divides by it. Once the source potential has decayed to
+    numerical irrelevance, y is pinned to its exact asymptote -kappa; the
+    O(h^4) truncation of the discrete derivative would otherwise leave a
+    constant noise floor ~h^4 kappa^5 in the transformed potentials' tails.
     """
     if ground.nodes != 0:
         raise DomainError(
@@ -94,7 +77,12 @@ def _resolve_source(source: PotentialModel, ground: BoundState, channel: Channel
             "construction needs the nodeless lowest state"
         )
     v1, c, p, _ = resolve(source, channel, ground.grid)
-    return v1, c, p, _ground_log_derivative(ground, v1, p, c)
+    y = log_derivative(ground.u, (v1 - ground.energy) / c, p, ground.grid, -ground.kappa)
+    threshold = 1e-12 * max(1.0, float(np.max(np.abs(v1))))
+    alive = np.nonzero(np.abs(v1) >= threshold)[0]
+    if alive.size and alive[-1] + 1 < y.size:
+        y[alive[-1] + 1:] = -ground.kappa
+    return v1, c, p, y
 
 
 def _partner(source: PotentialModel, values: np.ndarray, p: float, shift: float, c: float,
@@ -110,58 +98,53 @@ def _partner(source: PotentialModel, values: np.ndarray, p: float, shift: float,
                      singular_coefficient=c_sing, hbar2_over_2mu=c, levels=source.levels[1:])
 
 
-def build_intermediate(
-    source: PotentialModel, ground: BoundState, channel: ChannelConstants
-) -> Tabulated:
-    """One-step partner: same spectrum as the source minus the ground state."""
-    v1, c, p, y = _resolve_source(source, ground, channel)
-    v2 = -v1 + 2.0 * ground.energy + 2.0 * c * y * y
-    return _partner(source, v2, p, 1.0, c, ground.grid)
-
-
-def _cumulative_norm(ground: BoundState, y: np.ndarray, p_source: float) -> np.ndarray:
-    """I(r) = int_0^r u0^2, Euler-Maclaurin-corrected cumulative trapezoid."""
-    g = ground.grid
-    h = g.step
-    u = ground.u
-    dens = u * u
+def _cumulative_norm(dens: np.ndarray, y: np.ndarray, p_source: float,
+                     grid: RadialGrid) -> np.ndarray:
+    """I(r) = int_0^r u0^2, Euler-Maclaurin-corrected cumulative trapezoid of ``dens``."""
+    h = grid.step
     dens_prime = 2.0 * dens * y
     core = np.concatenate([[0.0], np.cumsum(0.5 * h * (dens[1:] + dens[:-1]))])
-    sliver = dens[0] * g.r[0] / (2.0 * p_source + 1.0)   # u ~ r^p below r_1
+    sliver = dens[0] * grid.r[0] / (2.0 * p_source + 1.0)   # u ~ r^p below r_1
     return sliver + core - (h * h / 12.0) * (dens_prime - dens_prime[0])
 
 
-def build_pep(
+def build_partners(
     source: PotentialModel, ground: BoundState, channel: ChannelConstants
-) -> Tabulated:
-    """Phase-equivalent partner from the integral form (production path)."""
+) -> tuple[Tabulated, Tabulated]:
+    """(V2, V3): the source's spectrum minus its nodeless ground state ``ground``.
+
+    V2 is the one-step partner; V3 is the phase-equivalent partner from the
+    integral form (the production path).
+    """
     v1, c, p, y = _resolve_source(source, ground, channel)
-    cum = _cumulative_norm(ground, y, p)
+    g = ground.grid
     dens = ground.u * ground.u
+    cum = _cumulative_norm(dens, y, p, g)
     ratio = dens / cum
     # (ln I)'' = 2 u u'/I - (u^2/I)^2, with u' = y u
     ln_cum_dd = 2.0 * dens * y / cum - ratio * ratio
-    return _partner(source, v1 - 2.0 * c * ln_cum_dd, p, 2.0, c, ground.grid)
+    return (_partner(source, -v1 + 2.0 * ground.energy + 2.0 * c * y * y, p, 1.0, c, g),
+            _partner(source, v1 - 2.0 * c * ln_cum_dd, p, 2.0, c, g))
 
 
 def build_pep_via_intermediate(
     source: PotentialModel,
     ground: BoundState,
     channel: ChannelConstants,
-    intermediate: Tabulated | None = None,
+    intermediate: Tabulated,
 ) -> Tabulated:
     """Phase-equivalent partner through the regular solution of V2 at E0.
 
-    Independent of :func:`build_pep`'s integral route; the two must agree
-    pointwise, which the test suite enforces as a cross-check oracle.
+    ``intermediate`` is V2 from :func:`build_partners`. Independent of that
+    function's integral route to V3; the two must agree pointwise, which the
+    test suite enforces as a cross-check oracle.
     Uses V3 = V1 + 2 c (y2^2 - y1^2) with y_i the log-derivatives of the
     source ground state and of the V2 regular solution at the removed energy.
     """
     v1, c, p, y1 = _resolve_source(source, ground, channel)
     g = ground.grid
-    v2 = intermediate if intermediate is not None else build_intermediate(source, ground, channel)
-    psi2 = solve_at_energy(v2, channel, ground.energy, grid=g)
-    y2 = log_derivative(psi2.u, (v2.values - ground.energy) / c, psi2.origin_power, g,
+    psi2 = solve_at_energy(intermediate, channel, ground.energy, grid=g)
+    y2 = log_derivative(psi2.u, (intermediate.values - ground.energy) / c, psi2.origin_power, g,
                         ground.kappa)
     return _partner(source, v1 + 2.0 * c * (y2 * y2 - y1 * y1), p, 2.0, c, g)
 
@@ -173,8 +156,8 @@ def remove_lowest(
 ) -> tuple[SusyTransformRecord, SusyTransformRecord]:
     """Solve the lowest state of ``source`` and build its (V2, V3) partner records."""
     ground = solve_bound_state(source, channel, target_nodes=0, grid=grid)
-    return (SusyTransformRecord(ground, build_intermediate(source, ground, channel)),
-            SusyTransformRecord(ground, build_pep(source, ground, channel)))
+    v2, v3 = build_partners(source, ground, channel)
+    return SusyTransformRecord(ground, v2), SusyTransformRecord(ground, v3)
 
 
 def iterate_removals(

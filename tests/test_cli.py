@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susypep import cli, fitting
+from susypep import cli, fitting, grids
 from susypep.cli import main
 
 
@@ -297,7 +297,7 @@ def test_sweep_stops_at_emax_and_the_size_limits_are_inclusive():
     assert len(sweep("0.1", "0.3", "0.1")) == 3   # 1.9999999999999998 steps
     assert len(sweep("1", "100000", "1")) == cli.MAX_SWEEP_ENERGIES
     argv = ["spectrum", "--preset", "deuteron", "--step", "0.0001", "--rmax", "100"]
-    assert config_of(argv).grid.n_points == cli.MAX_GRID_POINTS
+    assert config_of(argv).grid.n_points == grids.MAX_GRID_POINTS
 
 
 def test_benchmark_jobs_pass_validation_and_get_the_benchmark_sweeps(tmp_path, monkeypatch):
@@ -320,7 +320,7 @@ def test_benchmark_jobs_pass_validation_and_get_the_benchmark_sweeps(tmp_path, m
                     largest_sweep = max(largest_sweep, len(cfg.sweep))
     # the limits leave the benchmark's largest runs a wide margin
     assert 10 * largest_sweep <= cli.MAX_SWEEP_ENERGIES
-    assert 10 * largest_grid <= cli.MAX_GRID_POINTS
+    assert 10 * largest_grid <= grids.MAX_GRID_POINTS
 
 
 @pytest.mark.parametrize("line", ["hbar2_over_2mu = inf", "target_energy = -inf",

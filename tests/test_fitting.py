@@ -39,6 +39,14 @@ def test_threshold_limit():
     assert a_tilde_from_energy(-1e-30, 2.0, CH_D, 0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("energy, beta", [(-math.inf, 1.587), (math.nan, 1.587),
+                                          (-2.226, math.inf), (-2.226, math.nan)],
+                         ids=["energy-inf", "energy-nan", "beta-inf", "beta-nan"])
+def test_inversion_rejects_non_finite_input(energy, beta):
+    with pytest.raises(DomainError, match="finite"):
+        a_tilde_from_energy(energy, beta, CH_D, 1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     energy=st.floats(min_value=-500.0, max_value=-1e-3),

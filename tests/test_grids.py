@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from susypep import ChannelConstants, DomainError, RadialGrid, default_grid, integrate
+from susypep.grids import MAX_GRID_POINTS
 
 
 def test_points_follow_k_times_step():
@@ -31,6 +32,21 @@ def test_grid_validation():
 def test_non_finite_extent_is_a_domain_error(r_max):
     with pytest.raises(DomainError, match="finite"):
         RadialGrid.from_extent(0.01, r_max)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RadialGrid.from_extent(1e-300, 1e300),
+    lambda: RadialGrid.from_extent(1e-6, 1e6),
+    lambda: RadialGrid(0.01, 10**12),
+], ids=["extent-overflow", "extent-1e12", "points-1e12"])
+def test_grids_over_a_million_points_are_domain_errors(make):
+    with pytest.raises(DomainError, match="1,000,000"):
+        make()
+
+
+def test_grid_limit_is_inclusive():
+    assert RadialGrid(0.01, MAX_GRID_POINTS).n_points == MAX_GRID_POINTS
+    assert RadialGrid.from_extent(0.0001, 100.0).n_points == MAX_GRID_POINTS
 
 
 def test_points_are_immutable():

@@ -46,6 +46,16 @@ def test_evaluate_rejects_nonpositive_r():
         pot.evaluate(-1.0)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, [1.0, math.nan]],
+                         ids=["nan", "inf", "array"])
+def test_evaluate_rejects_non_finite_r(r):
+    pot = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            pot.evaluate(r)
+
+
 def test_sech_squared_parameter_validation():
     with pytest.raises(DomainError):
         SechSquared(0.9, 1.0, 41.47)   # no bound odd state

@@ -6,7 +6,7 @@ from susypep import (
     DomainError,
     SechSquared,
     analytic_levels,
-    build_intermediate,
+    build_partners,
     build_pep_via_intermediate,
     count_bound_states,
     iterate_removals,
@@ -14,6 +14,7 @@ from susypep import (
     remove_lowest,
     solve_bound_state,
 )
+from susypep import transform
 from susypep.solver import log_derivative
 
 CH_D = ChannelConstants(41.47, "n-p")
@@ -32,7 +33,7 @@ def exact_intermediate(a_tilde, beta, channel, grid):
     return v1 - 2.0 * c * curvature
 
 
-# --- build_intermediate ---------------------------------------------------------
+# --- V2 ---------------------------------------------------------------------------
 
 def test_intermediate_matches_closed_form(deuteron_chain):
     grid = deuteron_chain.grid
@@ -66,10 +67,10 @@ def test_intermediate_origin_singularity(deuteron_chain):
 
 def test_intermediate_rejects_noded_state(deuteron_chain):
     with pytest.raises(DomainError, match="nodeless"):
-        build_intermediate(deuteron_chain.potential, deuteron_chain.physical, CH_D)
+        build_partners(deuteron_chain.potential, deuteron_chain.physical, CH_D)
 
 
-# --- build_pep --------------------------------------------------------------------
+# --- V3 ---------------------------------------------------------------------------
 
 def test_pep_spectrum_is_source_minus_ground(deuteron_chain):
     assert deuteron_chain.v3_state.energy == pytest.approx(
@@ -218,7 +219,25 @@ def test_partners_know_the_source_spectrum_minus_the_removed_level(chain_name, r
     )
     for rec in chain.records:
         assert rec.result.levels == chain.potential.levels[1:]
-    assert build_pep_via_intermediate(deep, chain.ground, chain.channel).levels == deep.levels[1:]
+    via_v2 = build_pep_via_intermediate(deep, chain.ground, chain.channel, chain.rec2.result)
+    assert via_v2.levels == deep.levels[1:]
+
+
+@pytest.mark.parametrize("chain_name", ["deuteron_chain", "be11_chain", "alpha_chain"])
+def test_build_partners_returns_the_records_of_remove_lowest(chain_name, request):
+    chain = request.getfixturevalue(chain_name)
+    partners = build_partners(chain.potential, chain.ground, chain.channel)
+    for built, rec in zip(partners, (chain.rec2, chain.rec3)):
+        assert np.array_equal(built.values, rec.result.values)
+        assert built.singular_coefficient == rec.result.singular_coefficient
+        assert built.levels == rec.result.levels
+
+
+def test_remove_lowest_resolves_its_source_once(deuteron_chain, monkeypatch):
+    calls, real = [], transform.resolve
+    monkeypatch.setattr(transform, "resolve", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    remove_lowest(deuteron_chain.potential, CH_D, grid=deuteron_chain.grid)
+    assert len(calls) == 1
 
 
 def test_singular_coefficient_ladder(alpha_chain):
