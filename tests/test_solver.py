@@ -250,7 +250,9 @@ MISMATCHED_CALLS = {
     "phase_shift_curve": lambda pot, ground, ch: phase_shift_curve(pot, ch, [1.0, 5.0]),
     "solve_at_energy": lambda pot, ground, ch: solve_at_energy(pot, ch, -1.0),
     "count_bound_states": lambda pot, ground, ch: count_bound_states(pot, ch),
-    "build_partners": lambda pot, ground, ch: build_partners(pot, ground, ch),
+    # build_partners builds both: V2 (the intermediate) and V3 (the pep)
+    "build_intermediate": lambda pot, ground, ch: build_partners(pot, ground, ch)[0],
+    "build_pep": lambda pot, ground, ch: build_partners(pot, ground, ch)[1],
     "build_pep_via_intermediate": lambda pot, ground, ch: build_pep_via_intermediate(
         pot, ground, ch, build_partners(pot, ground, CH_D)[0]),   # V2 in its own channel
 }
