@@ -8,7 +8,10 @@ bit-identical results.
 Each backend holds one recurrence, ``sweep_outward``. ``sweep_inward`` runs
 it on the reversed mesh: reversing the index gives the same arithmetic in
 the same order, and the rescaled prefix of the reversed sweep is the
-rescaled suffix of the inward one.
+rescaled suffix of the inward one. The reversed mesh is a view of f with a
+negative stride. The compiled sweep reads f through its byte stride, so it
+sweeps that view in place; a contiguous copy would add about 5% to a
+compiled sweep.
 
 ``sweep_outward_batch`` sweeps many energies at once. The fallback runs
 them together in numpy, row by row, at a cost per curve of about seven

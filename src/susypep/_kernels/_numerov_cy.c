@@ -6,7 +6,8 @@ with T_i = h^2 f_i / 12, and the computed prefix rescaled by SHRINK whenever
 |u| passes GUARD (true_u = u * exp(log_scale)). Built with -ffp-contract=off,
 so no multiply-add is fused and every value is bit-identical to the fallback's.
 This is the only recurrence: ``_kernels.sweep_inward`` runs it on the
-reversed mesh.
+reversed mesh. f is read through its byte stride, so that reversed view (or
+any other aligned 1-D view) is swept in place, without a contiguous copy.
 */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -26,7 +27,7 @@ static PyObject *sweep_outward(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "Odddn", &f_obj, &h, &u0, &u1, &stop))
         return NULL;
     PyArrayObject *fa = (PyArrayObject *)PyArray_FROMANY(f_obj, NPY_DOUBLE, 1, 1,
-                                                         NPY_ARRAY_IN_ARRAY);
+                                                         NPY_ARRAY_ALIGNED);
     if (fa == NULL)
         return NULL;
     Py_ssize_t n = PyArray_DIM(fa, 0);
@@ -39,13 +40,16 @@ static PyObject *sweep_outward(PyObject *self, PyObject *args)
         Py_DECREF(fa);
         return NULL;
     }
-    const double *f = PyArray_DATA(fa), t = h * h / 12.0;
+    const char *f = PyArray_BYTES(fa);
+    const npy_intp fs = PyArray_STRIDE(fa, 0);
+#define F(i) (*(const double *)(f + (i) * fs))
+    const double t = h * h / 12.0;
     double *u = PyArray_DATA((PyArrayObject *)out);
     u[0] = u0;
     u[1] = u1;
     for (Py_ssize_t i = 1; i < stop; i++) {
-        double nxt = ((2.0 + 10.0 * t * f[i]) * u[i]
-                      - (1.0 - t * f[i - 1]) * u[i - 1]) / (1.0 - t * f[i + 1]);
+        double nxt = ((2.0 + 10.0 * t * F(i)) * u[i]
+                      - (1.0 - t * F(i - 1)) * u[i - 1]) / (1.0 - t * F(i + 1));
         if (nxt > GUARD || nxt < -GUARD) {
             for (Py_ssize_t j = 0; j <= i; j++)
                 u[j] *= SHRINK;
@@ -54,6 +58,7 @@ static PyObject *sweep_outward(PyObject *self, PyObject *args)
         }
         u[i + 1] = nxt;
     }
+#undef F
     Py_DECREF(fa);
     return Py_BuildValue("(Nd)", out, log_scale);
 }

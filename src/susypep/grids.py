@@ -68,7 +68,8 @@ class RadialGrid:
 
     def index_of(self, radius: float) -> int:
         """Index of the grid point closest to `radius`."""
-        k = int(round(radius / self.step)) - 1 if math.isfinite(radius) else -1
+        ratio = radius / self.step   # finite radii far beyond the grid overflow to inf here
+        k = int(round(ratio)) - 1 if math.isfinite(ratio) else -1
         if not 0 <= k < self.n_points:
             raise DomainError(f"radius {radius} fm outside grid (r_max={self.r_max} fm)")
         return k

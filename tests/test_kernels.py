@@ -74,6 +74,12 @@ _RESCALED_SWEEPS = [
     ("sweep_outward", _STIFF_F, 0.01, 1.0, math.exp(0.3), 11999),
     ("sweep_inward", _STIFF_F, 0.01, 1.0, math.exp(0.3), 0),
 ]
+# reversed and strided views of f, which the compiled kernel reads in place
+_STRIDED_SWEEPS = [
+    ("sweep_inward", _RANDOM_F[::-2], 0.01, 1.0, 1.01, 0),
+    ("sweep_inward", _RANDOM_F[::3], 0.01, 1.0, 1.01, 7),
+    ("sweep_inward", _STIFF_F[::-2], 0.01, 1.0, math.exp(0.3), 0),
+]
 
 
 def _sweep(impl, name, *args):
@@ -102,6 +108,12 @@ def test_backends_agree_exactly():
 @needs_compiled
 def test_backends_agree_on_rescaled_sweep():
     assert min(_assert_bit_identical(_numerov_cy, _RESCALED_SWEEPS)) > 0.0
+
+
+@needs_compiled
+def test_backends_agree_on_inward_sweeps_of_strided_f():
+    assert not any(f.flags.contiguous for _, f, *_ in _STRIDED_SWEEPS)
+    assert _assert_bit_identical(_numerov_cy, _STRIDED_SWEEPS)[-1] > 0.0
 
 
 @pytest.mark.parametrize("backend", ["python", pytest.param("compiled", marks=needs_compiled)])
@@ -169,7 +181,7 @@ def test_extension_builds_from_setup_py(tmp_path):
     spec = importlib.util.spec_from_file_location("_numerov_cy", built[0])
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    _assert_bit_identical(module, _PLAIN_SWEEPS + _RESCALED_SWEEPS)
+    _assert_bit_identical(module, _PLAIN_SWEEPS + _RESCALED_SWEEPS + _STRIDED_SWEEPS)
 
 
 def test_backend_name_is_reported():

@@ -164,8 +164,12 @@ _WELL = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
     lambda: solve_at_energy(_WELL, CH_D, -math.inf),
     lambda: default_grid().index_of(math.nan),
     lambda: default_grid().index_of(math.inf),
+    lambda: phase_shift(_WELL, CH_D, 1.0, r_match=1e308),      # r_match / step overflows
+    lambda: RadialGrid.from_extent(0.01, 1000.0).index_of(1e308),
+    lambda: RadialGrid.from_extent(0.01, 1000.0).index_of(-1e308),
 ], ids=["phase-nan", "phase-inf", "r_match-nan", "r_match-inf", "curve-nan", "curve-inf",
-        "energy-nan", "energy-minus-inf", "index-nan", "index-inf"])
+        "energy-nan", "energy-minus-inf", "index-nan", "index-inf", "r_match-huge", "index-huge",
+        "index-minus-huge"])
 def test_non_finite_inputs_raise_domain_error(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
