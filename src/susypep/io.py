@@ -42,7 +42,7 @@ class OutputWriter:
             raise ValueError(f"{name}: need one header name per column, "
                              f"got {len(header)} for {len(cols)}")
         shapes = [col.shape for col in cols]
-        if cols[0].ndim != 1 or shapes.count(shapes[0]) != len(shapes):
+        if cols[0].ndim != 1 or len(set(shapes)) != 1:
             raise ValueError(f"{name}: columns must be 1-D and of equal length, got shapes {shapes}")
         table = np.column_stack(cols)
         row = ",".join(["%.17g"] * len(cols)) + "\n"

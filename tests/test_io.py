@@ -38,7 +38,7 @@ def test_edge_values_match_the_per_value_format(tmp_path):
 
 
 def test_random_bit_patterns_match_the_per_value_format(tmp_path):
-    bits = np.random.default_rng(17).integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+    bits = np.random.default_rng(17).integers(0, 2**64, size=100_000, dtype=np.uint64)
     columns = list(bits.view(np.float64).reshape(4, -1))
     header = ["w", "x", "y", "z"]
     assert _written(tmp_path, header, columns) == _reference_csv(header, columns)
