@@ -46,7 +46,6 @@ from .potentials import (
 )
 from .solver import (
     BoundState,
-    RegularSolution,
     analytic_pt_state,
     count_bound_states,
     count_nodes,

@@ -3,7 +3,8 @@
 The compiled module is preferred when importable; set SUSYPEP_PURE_PYTHON=1
 to force the fallback in a tree or install that has the kernel built.
 ``BACKEND`` names the implementation actually in use. Both backends give
-bit-identical results.
+bit-identical results. ``susypep.solver`` is the only caller of these
+sweeps; every other module gets its solutions from there.
 
 Each backend holds one recurrence, ``sweep_outward``. ``sweep_inward`` runs
 it on the reversed mesh: reversing the index gives the same arithmetic in

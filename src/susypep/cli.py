@@ -1,7 +1,7 @@
 """Command-line workflows: fit -> transform -> observe for the presets.
 
 Subcommands: fit, spectrum, partner, report, phase, transfer-ratio.
-Exit codes: 0 success, 2 numerical/bracket failure, 3 configuration error.
+Exit codes: 0 success, 2 numerical/bracket failure, 3 configuration error or unwritable --out.
 
 Each subcommand is one row of ``_COMMANDS``: its handler, its help text and
 the options it adds to the common ones; the parser is built from that table
@@ -303,13 +303,17 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ConfigError) else 2
     if cfg.formats:
-        writer = OutputWriter(args.out)
-        for name, content in files.items():
-            if name.endswith(".csv") and "csv" in cfg.formats:
-                writer.write_csv(name, *content)
-            elif name.endswith(".json") and "json" in cfg.formats:
-                writer.write_json(name, content)
-        writer.finalize_manifest()
+        try:
+            writer = OutputWriter(args.out)
+            for name, content in files.items():
+                if name.endswith(".csv") and "csv" in cfg.formats:
+                    writer.write_csv(name, *content)
+                elif name.endswith(".json") and "json" in cfg.formats:
+                    writer.write_json(name, content)
+            writer.finalize_manifest()
+        except OSError as exc:
+            print(f"error: cannot write under --out: {exc}", file=sys.stderr)
+            return 3
     return 0
 
 

@@ -267,7 +267,8 @@ def load_preset_config(path) -> SystemPreset:
     """Read a plain key=value preset file ('#' starts a comment).
 
     Each of the keys name, hbar2_over_2mu, target_energy, target_rms, nodes
-    and coordinate_factor is required once; any other key is an error.
+    and coordinate_factor is required once; any other key is an error. The
+    name goes into output file names: it must be non-empty, without / or \\.
     """
     required = ("name", "hbar2_over_2mu", "target_energy", "target_rms", "nodes",
                 "coordinate_factor")
@@ -285,6 +286,9 @@ def load_preset_config(path) -> SystemPreset:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 if key in entries:
                     raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
+                if key == "name" and (not value or "/" in value or "\\" in value):
+                    raise ConfigError(f"{path}:{lineno}: name must be non-empty and hold "
+                                      f"no '/' or '\\' (it names output files), got {value!r}")
                 entries[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

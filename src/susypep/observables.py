@@ -21,8 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .grids import ChannelConstants, RadialGrid, frozen, integrate
 from .potentials import PotentialModel, values_on_grid
-from .solver import BoundState, _outward_node_count, _series_start, resolve
-from . import _kernels
+from .solver import BoundState, outward_node_count, regular_values_at, resolve
 
 log = logging.getLogger(__name__)
 
@@ -118,21 +117,10 @@ def _scattering_energies(energies) -> np.ndarray:
 
 
 def _free_wave_phases(v, energies, c, p, grid, mi) -> np.ndarray:
-    """Principal-branch phases of outward sweeps matched to the free s-wave at ``mi``.
-
-    Each sweep starts from the origin series; the log-derivative at ``mi``
-    comes from the Numerov first derivative. The energies share one
-    batched sweep, bit-identical per energy to the scalar sweep.
-    """
-    e = np.asarray(energies, dtype=float)
-    h = grid.step
-    u0, u1 = _series_start((v[:2, None] - e) / c, p, grid)
-    rows, _ = _kernels.sweep_outward_batch(v, e, c, h, u0, u1, mi)
-    t = h**2 / 12.0
-    f_prev, f_next = (v[[mi - 1, mi + 1], None] - e) / c
-    du = (rows[2] * (1.0 - 2.0 * t * f_next) - rows[0] * (1.0 - 2.0 * t * f_prev)) / (2.0 * h)
-    deltas = np.empty(e.size)
-    for j, (energy, u_mid, du_mid) in enumerate(zip(e, rows[1], du)):
+    """Principal-branch phases of the regular solutions, matched to the free s-wave at ``mi``."""
+    u, du = regular_values_at(v, energies, c, p, grid, mi)
+    deltas = np.empty(energies.size)
+    for j, (energy, u_mid, du_mid) in enumerate(zip(energies, u, du)):
         k = math.sqrt(energy / c)
         delta = (math.atan2(k * u_mid, du_mid) - k * grid.r[mi]) % math.pi
         deltas[j] = delta - math.pi if delta > math.pi / 2.0 else delta
@@ -198,7 +186,7 @@ def phase_shift_curve(
     v, c, p, g = resolve(potential, channel, grid)
     raw = _free_wave_phases(v, e, c, p, g, _match_index(v, g, None))
     deltas = np.empty_like(raw)
-    anchor = _outward_node_count(v / c, p, g) * math.pi   # bound states at threshold
+    anchor = outward_node_count(v / c, p, g) * math.pi   # bound states at threshold
     deltas[0] = raw[0] + math.pi * round((anchor - raw[0]) / math.pi)
     for j in range(1, raw.size):
         deltas[j] = raw[j] + math.pi * round((deltas[j - 1] - raw[j]) / math.pi)

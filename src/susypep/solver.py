@@ -1,7 +1,7 @@
 """Radial bound-state eigensolver and fixed-energy regular solutions.
 
 The radial equation is integrated as u'' = f(r) u with
-f = (V - E) / (hbar^2/2mu) using Numerov sweeps (see ``_kernels``).
+f = (V - E) / (hbar^2/2mu) using Numerov sweeps (``_kernels``, called from here alone).
 Eigenvalues are found in two stages. The search starts from a bracket that
 holds only the requested state. Where the potential knows that level
 (``levels``: closed form for sech^2, the source's spectrum minus the
@@ -59,19 +59,6 @@ class BoundState:
     def __post_init__(self):
         if not -math.inf < self.energy < 0.0:
             raise DomainError(f"bound-state energy must be finite and negative, got {self.energy}")
-        object.__setattr__(self, "u", frozen(self.u))
-
-
-@dataclass(frozen=True)
-class RegularSolution:
-    """Unnormalized regular solution u ~ r^origin_power at the origin."""
-
-    energy: float
-    u: np.ndarray
-    origin_power: float
-    grid: RadialGrid
-
-    def __post_init__(self):
         object.__setattr__(self, "u", frozen(self.u))
 
 
@@ -148,21 +135,27 @@ def _series_start(f: np.ndarray, p: float, grid: RadialGrid):
     return u1, u2
 
 
+def _numerov_derivative(u: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+    """u' at the interior points of a Numerov solution of u'' = f u, to O(h^4).
+
+    u'_i = [u_{i+1}(1 - 2T_{i+1}) - u_{i-1}(1 - 2T_{i-1})] / (2h) with
+    T = h^2 f / 12, along the first axis of ``u`` and ``f``.
+    """
+    w = u * (1.0 - 2.0 * (h * h / 12.0) * f)
+    return (w[2:] - w[:-2]) / (2.0 * h)
+
+
 def log_derivative(
     u: np.ndarray, f: np.ndarray, p: float, grid: RadialGrid, y_right: float
 ) -> np.ndarray:
     """u'/u of a Numerov solution u of u'' = f u, to O(h^4).
 
-    Interior points use u'_i = [u_{i+1}(1 - 2T_{i+1}) - u_{i-1}(1 - 2T_{i-1})]
-    / (2h) with T = h^2 f / 12. The first point takes the log-derivative of
-    the origin series r^p (1 + a2 r^2 + a4 r^4), the last one ``y_right``
-    (the asymptotic -kappa for a bound state).
+    Interior points use :func:`_numerov_derivative`. The first point takes
+    the log-derivative of the origin series r^p (1 + a2 r^2 + a4 r^4), the
+    last one ``y_right`` (the asymptotic -kappa for a bound state).
     """
-    h = grid.step
-    t = h * h / 12.0
     du = np.empty_like(u)
-    w = u * (1.0 - 2.0 * t * f)
-    du[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
+    du[1:-1] = _numerov_derivative(u, f, grid.step)
     a2, a4 = _series_coefficients(f, p, grid)
     r1 = grid.r[0]
     y_left = (p + (p + 2.0) * a2 * r1**2 + (p + 4.0) * a4 * r1**4) / (
@@ -188,10 +181,24 @@ def _known_level_bracket(potential: PotentialModel, n: int) -> tuple[float, floa
     return (levels[n] - half, levels[n] + half)
 
 
-def _outward_node_count(f: np.ndarray, p: float, grid: RadialGrid) -> int:
+def outward_node_count(f: np.ndarray, p: float, grid: RadialGrid) -> int:
+    """Interior nodes of the regular solution of u'' = f u, swept over the whole grid."""
     u1, u2 = _series_start(f, p, grid)
     u, _ = _kernels.sweep_outward(f, grid.step, u1, u2, grid.n_points - 1)
     return count_nodes(u)
+
+
+def regular_values_at(v: np.ndarray, energies: np.ndarray, c: float, p: float,
+                      grid: RadialGrid, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u') of the regular solutions of u'' = (v - E) / c u at mesh ``index``, per E.
+
+    u' is :func:`_numerov_derivative`. The energies share one batched sweep,
+    bit-identical per energy to the scalar sweep.
+    """
+    u0, u1 = _series_start((v[:2, None] - energies) / c, p, grid)
+    rows, _ = _kernels.sweep_outward_batch(v, energies, c, grid.step, u0, u1, index)
+    f = (v[index - 1:index + 2, None] - energies) / c
+    return rows[1], _numerov_derivative(rows, f, grid.step)[0]
 
 
 def _matched_pieces(f: np.ndarray, p: float, grid: RadialGrid, u_last: float,
@@ -278,7 +285,7 @@ def solve_bound_state(
     h = g.step
 
     def end_counts(bracket):
-        return tuple(_outward_node_count((v - e) / c, p, g) for e in bracket)
+        return tuple(outward_node_count((v - e) / c, p, g) for e in bracket)
 
     bracket = _known_level_bracket(potential, target_nodes)
     if bracket is not None:
@@ -309,7 +316,7 @@ def solve_bound_state(
                 if abs(corrected - start) < ENERGY_TOL:
                     break
                 continue
-        count = _outward_node_count((v - em) / c, p, g)
+        count = outward_node_count((v - em) / c, p, g)
         if count > target_nodes:
             ehi, count_hi = em, count
         else:
@@ -354,8 +361,8 @@ def solve_at_energy(
     channel: ChannelConstants,
     energy: float,
     grid: RadialGrid | None = None,
-) -> RegularSolution:
-    """Outward regular solution at a fixed energy (bound or scattering region).
+) -> np.ndarray:
+    """Read-only regular solution u ~ r^origin_power at a fixed energy, swept outward.
 
     The amplitude is fixed by u(r_1) = r_1^p unless the sweep had to rescale
     against overflow, in which case the rescaled profile is returned as-is
@@ -377,7 +384,7 @@ def solve_at_energy(
             "outward sweep rescaled by exp(%.1f) to avoid overflow; "
             "returning the rescaled profile", log_scale
         )
-    return RegularSolution(energy=energy, u=u, origin_power=p, grid=g)
+    return frozen(u)
 
 
 def count_bound_states(
@@ -385,7 +392,7 @@ def count_bound_states(
 ) -> int:
     """Number of bound states = interior nodes of the zero-energy regular solution."""
     v, c, p, g = resolve(potential, channel, grid)
-    return _outward_node_count(v / c, p, g)
+    return outward_node_count(v / c, p, g)
 
 
 def _gegenbauer(k: int, lam: float, x: np.ndarray) -> np.ndarray:

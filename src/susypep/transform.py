@@ -34,6 +34,7 @@ from .solver import (
     BoundState,
     count_bound_states,
     log_derivative,
+    origin_power,
     resolve,
     solve_at_energy,
     solve_bound_state,
@@ -144,8 +145,8 @@ def build_pep_via_intermediate(
     v1, c, p, y1 = _resolve_source(source, ground, channel)
     g = ground.grid
     psi2 = solve_at_energy(intermediate, channel, ground.energy, grid=g)
-    y2 = log_derivative(psi2.u, (intermediate.values - ground.energy) / c, psi2.origin_power, g,
-                        ground.kappa)
+    y2 = log_derivative(psi2, (intermediate.values - ground.energy) / c,
+                        origin_power(intermediate), g, ground.kappa)
     return _partner(source, v1 + 2.0 * c * (y2 * y2 - y1 * y1), p, 2.0, c, g)
 
 

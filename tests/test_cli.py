@@ -375,6 +375,27 @@ def test_negative_removals_is_config_error(capsys, monkeypatch):
     assert "--removals" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "system.cfg"], "not both"),
+    (["--emin", "0", "--emax", "2", "--estep", "1"], "positive and ordered"),
+    (["--emin", "2", "--emax", "2", "--estep", "1"], "positive and ordered"),
+    (["--emin", "1", "--emax", "2", "--estep", "0"], "positive and ordered"),
+], ids=["preset-and-config", "emin-zero", "emax-not-above-emin", "estep-zero"])
+def test_conflicting_or_disordered_flags_are_config_errors(argv, message, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "analyze", lambda *a, **kw: pytest.fail("solved before validating"))
+    assert run(["phase", "--preset", "deuteron"] + argv) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_unwritable_out_is_reported_not_raised(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    code = run(["transfer-ratio", "--preset", "deuteron", "--out", str(taken)] + FAST)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: cannot write under --out: ")
+    assert taken.read_text() == "a file, not a directory\n"
+
+
 def test_phase_defaults(tmp_path, capsys):
     code = run(
         ["phase", "--preset", "deuteron", "--out", str(tmp_path),

@@ -63,6 +63,11 @@ def test_inversion_rejects_positive_energy():
         a_tilde_from_energy(1.0, 1.0, CH_D, 0)
 
 
+def test_inversion_rejects_a_negative_state_index():
+    with pytest.raises(DomainError, match="state index"):
+        a_tilde_from_energy(-2.226, 1.587, CH_D, -1)
+
+
 # --- fit_parameters ------------------------------------------------------------------
 
 def test_deuteron_fit_recovers_reference_pair():
@@ -209,6 +214,8 @@ def test_preset_validation():
             physical_node_count=1,
             coordinate_factor="quarter",
         )
+    with pytest.raises(DomainError, match="coordinate_factor"):
+        _preset(coordinate_factor="half")
 
 
 def _preset(**changes):
@@ -277,17 +284,27 @@ def test_config_file_bad_value(tmp_path):
         load_preset_config(path)
 
 
-@pytest.mark.parametrize("extra, message", [
-    ("canonical_beta = 1.5\n", "unknown key 'canonical_beta'"),
-    ("target_rms = 2.5\n", "key 'target_rms' given twice"),
-], ids=["unknown", "repeated"])
-def test_config_file_rejects_unknown_and_repeated_keys(extra, message, tmp_path):
+_NAME_MESSAGE = "name must be non-empty and hold no '/' or '\\' (it names output files), got "
+
+
+@pytest.mark.parametrize("name, extra, message", [
+    ("custom", "canonical_beta = 1.5\n", "7: unknown key 'canonical_beta'"),
+    ("custom", "target_rms = 2.5\n", "7: key 'target_rms' given twice"),
+    ("custom", "target_rms\n", "7: expected key=value, got 'target_rms'"),
+    ("", "", "1: " + _NAME_MESSAGE + "''"),
+    ("a/b", "", "1: " + _NAME_MESSAGE + "'a/b'"),
+    ("../escaped", "", "1: " + _NAME_MESSAGE + "'../escaped'"),
+    ("a\\b", "", "1: " + _NAME_MESSAGE + "'a\\\\b'"),
+], ids=["unknown", "repeated", "no-equals", "empty-name", "slash-name", "parent-name",
+        "backslash-name"])
+def test_config_file_rejects_unknown_and_repeated_keys(name, extra, message, tmp_path):
+    # the name becomes part of output file names, e.g. fit_<name>.json
     path = tmp_path / "system.cfg"
-    path.write_text("name = custom\nhbar2_over_2mu = 41.47\ntarget_energy = -2.226\n"
+    path.write_text(f"name = {name}\nhbar2_over_2mu = 41.47\ntarget_energy = -2.226\n"
                     "target_rms = 1.95\nnodes = 1\ncoordinate_factor = quarter\n" + extra)
     with pytest.raises(ConfigError) as exc:
         load_preset_config(path)
-    assert str(exc.value) == f"{path}:7: {message}"
+    assert str(exc.value) == f"{path}:{message}"
 
 
 def test_config_file_not_found():

@@ -11,6 +11,9 @@ function counts.
 A private name is a module-level ``_name`` function, class or assignment
 (dunders excluded); a load of it, an attribute of that name or an import of
 it anywhere in ``src/susypep`` counts as a reference.
+The layering check keeps the Numerov sweeps behind the solver: among the
+package's own modules, only ``solver.py`` imports ``_kernels`` and none
+imports a ``_``-name from ``.solver``.
 """
 import ast
 from pathlib import Path
@@ -88,6 +91,25 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def layering_breaches(sources: dict[str, str]) -> list[str]:
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                paths = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                paths = [f"{node.module or ''}.{alias.name}".lstrip(".") for alias in node.names]
+                if (node.module or "").split(".")[-1] == "solver":
+                    found += [f"{module}:{node.lineno} solver.{alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+            else:
+                continue
+            if module != "solver.py":
+                found += [f"{module}:{node.lineno} {path}" for path in paths
+                          if "_kernels" in path.split(".")]
+    return found
+
+
 def test_the_scan_sees_unused_imports_and_honours_noqa():
     source = ("import os\nimport numpy as np\nfrom math import pi, tau\n"
               "from . import kept  # noqa: F401\nprint(np.pi, tau)\n")
@@ -127,3 +149,19 @@ def test_every_private_name_of_the_package_is_referenced():
     sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
                for path in sorted(SRC.rglob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def test_the_scan_sees_kernel_imports_and_private_solver_names():
+    sources = {"solver.py": "from . import _kernels\n",
+               "a.py": ("from . import _kernels\nfrom ._kernels import BACKEND\n"
+                        "import susypep._kernels\nfrom .solver import _start, resolve\n"),
+               "b.py": "from .solver import resolve\nfrom .grids import _private\n"}
+    assert layering_breaches(sources) == ["a.py:1 _kernels", "a.py:2 _kernels.BACKEND",
+                                          "a.py:3 susypep._kernels", "a.py:4 solver._start"]
+
+
+def test_only_the_solver_runs_the_kernels():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert "observables.py" in sources
+    assert layering_breaches(sources) == []

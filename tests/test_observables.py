@@ -12,6 +12,7 @@ from susypep import (
     BoundState,
     ChannelConstants,
     DomainError,
+    PhaseShiftCurve,
     RadialGrid,
     SechSquared,
     Tabulated,
@@ -167,9 +168,12 @@ _WELL = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
     lambda: phase_shift(_WELL, CH_D, 1.0, r_match=1e308),      # r_match / step overflows
     lambda: RadialGrid.from_extent(0.01, 1000.0).index_of(1e308),
     lambda: RadialGrid.from_extent(0.01, 1000.0).index_of(-1e308),
+    lambda: phase_shift(_WELL, CH_D, 1.0, r_match=2.0),        # |V| ~ 10 MeV at 2 fm
+    lambda: phase_shift_curve(_WELL, CH_D, []),
+    lambda: PhaseShiftCurve(np.array([1.0, 2.0]), np.array([0.0])),
 ], ids=["phase-nan", "phase-inf", "r_match-nan", "r_match-inf", "curve-nan", "curve-inf",
         "energy-nan", "energy-minus-inf", "index-nan", "index-inf", "r_match-huge", "index-huge",
-        "index-minus-huge"])
+        "index-minus-huge", "r_match-inside-well", "curve-empty", "curve-shapes"])
 def test_non_finite_inputs_raise_domain_error(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -200,6 +204,12 @@ def test_curve_is_continuous_and_anchored(deuteron_chain):
 def test_curve_rejects_unsorted_energies(deuteron_chain):
     with pytest.raises(DomainError):
         phase_shift_curve(deuteron_chain.potential, CH_D, [5.0, 1.0], grid=deuteron_chain.grid)
+
+
+def test_curve_with_a_jump_over_half_pi_warns(caplog):
+    with caplog.at_level(logging.WARNING, logger="susypep.observables"):
+        PhaseShiftCurve(np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.1, 1.8]))
+    assert any("1.700 rad jump" in rec.message for rec in caplog.records)
 
 
 def _scalar_curve(potential, channel, energies, grid):
@@ -302,6 +312,15 @@ def test_zero_potential_gives_zero_strength(deuteron_chain):
     flat = Tabulated(grid, np.zeros(grid.n_points), 0.0, CH_D.hbar2_over_2mu)
     ts = zero_range_strength(flat, deuteron_chain.physical)
     assert ts.d0 == pytest.approx(0.0, abs=1e-12)
+
+
+def test_strength_warns_when_the_integrand_survives_at_the_grid_edge(deuteron_chain, caplog):
+    # a potential that never dies off: r V u0 is still ~1e-2 at 35 fm
+    grid = deuteron_chain.grid
+    flat = Tabulated(grid, np.full(grid.n_points, -1.0), 0.0, CH_D.hbar2_over_2mu)
+    with caplog.at_level(logging.WARNING, logger="susypep.observables"):
+        zero_range_strength(flat, deuteron_chain.physical)
+    assert any("at the grid edge" in rec.message for rec in caplog.records)
 
 
 def test_deuteron_strengths_reference_values(deuteron_chain):

@@ -84,8 +84,11 @@ _GRID = RadialGrid(step=0.01, n_points=200)
     lambda: Tabulated(_GRID, np.zeros(200), 0.0, 0.0),
     lambda: BoundState(math.nan, 0, np.ones(200), 1.0, _GRID),
     lambda: BoundState(-math.inf, 0, np.ones(200), 1.0, _GRID),
+    lambda: Tabulated(_GRID, np.zeros(199), 0.0, 41.47),
+    lambda: Tabulated(_GRID, np.where(_GRID.r < 1.0, 0.0, math.inf), 0.0, 41.47),
 ], ids=["step-inf", "n_points-fractional", "singular-nan", "singular-inf", "hbar2-nan",
-        "hbar2-inf", "hbar2-zero", "energy-nan", "energy-minus-inf"])
+        "hbar2-inf", "hbar2-zero", "energy-nan", "energy-minus-inf", "values-shape",
+        "values-inf"])
 def test_value_types_reject_non_finite_fields(make):
     assert RadialGrid(0.01, np.int64(200)) == _GRID    # numpy integers count as integral
     with pytest.raises(DomainError):
@@ -108,6 +111,8 @@ def test_threshold_level_goes_to_zero():
 def test_no_such_state_error():
     with pytest.raises(NoSuchStateError):
         analytic_levels(3.146, 1.587, CH_D, 2)
+    with pytest.raises(DomainError, match="state index"):
+        analytic_levels(3.146, 1.587, CH_D, -1)
 
 
 def test_levels_increase_with_n():

@@ -31,7 +31,7 @@ from susypep import (
 )
 from susypep import analyze, get_preset, solver
 from susypep.potentials import values_on_grid
-from susypep.solver import _outward_node_count, log_derivative, origin_power, resolve
+from susypep.solver import log_derivative, origin_power, outward_node_count, resolve
 
 CH_D = ChannelConstants(41.47, "n-p")
 CH_A = ChannelConstants(10.375, "alpha-alpha")
@@ -144,8 +144,8 @@ def _assert_lands_on_count_step(chain):
     for pot, n in _chain_problems(chain):
         energy = solve_bound_state(pot, ch, n, grid=g).energy
         v, p, c = values_on_grid(pot, g), origin_power(pot), ch.hbar2_over_2mu
-        assert _outward_node_count((v - (energy - 1e-8)) / c, p, g) == n
-        assert _outward_node_count((v - (energy + 1e-8)) / c, p, g) == n + 1
+        assert outward_node_count((v - (energy - 1e-8)) / c, p, g) == n
+        assert outward_node_count((v - (energy + 1e-8)) / c, p, g) == n + 1
 
 
 @pytest.mark.parametrize("chain_name", CHAINS)
@@ -201,9 +201,9 @@ def test_wrong_known_levels_widen_to_the_default_bracket(chain_name, request, mo
 
     def counted(*args):
         probes[0] += 1
-        return _outward_node_count(*args)
+        return outward_node_count(*args)
 
-    monkeypatch.setattr(solver, "_outward_node_count", counted)
+    monkeypatch.setattr(solver, "outward_node_count", counted)
     for rec, state in ((chain.rec2, chain.v2_state), (chain.rec3, chain.v3_state)):
         good = rec.result
         wrong = dataclasses.replace(good, levels=chain.potential.levels[:len(good.levels)])
@@ -236,6 +236,11 @@ def test_tabulated_potential_off_its_own_grid_is_rejected(deuteron_chain):
     with pytest.raises(DomainError, match="own grid"):
         solve_bound_state(v3, CH_D, target_nodes=0, grid=finer)
     assert solve_bound_state(v3, CH_D, target_nodes=0, grid=v3.grid).nodes == 0
+
+
+def test_negative_target_nodes_rejected():
+    with pytest.raises(DomainError, match="target_nodes"):
+        solve_bound_state(SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu), CH_D, target_nodes=-1)
 
 
 def test_channel_mismatch_rejected():
@@ -316,25 +321,27 @@ def test_free_particle_regular_solution_is_sine():
     flat = Tabulated(grid, np.zeros(grid.n_points), 0.0, CH_D.hbar2_over_2mu)
     energy = 5.0
     k = math.sqrt(energy / CH_D.hbar2_over_2mu)
-    sol = solve_at_energy(flat, CH_D, energy, grid=grid)
-    reference = np.sin(k * grid.r) / np.sin(k * grid.r[0]) * sol.u[0]
-    assert np.max(np.abs(sol.u - reference)) < 1e-8 * np.max(np.abs(reference))
+    u = solve_at_energy(flat, CH_D, energy, grid=grid)
+    reference = np.sin(k * grid.r) / np.sin(k * grid.r[0]) * u[0]
+    assert np.max(np.abs(u - reference)) < 1e-8 * np.max(np.abs(reference))
 
 
 def test_regular_solution_at_eigenvalue_tracks_bound_state(deuteron_chain):
     state = deuteron_chain.physical
-    sol = solve_at_energy(deuteron_chain.potential, CH_D, state.energy, grid=state.grid)
+    u = solve_at_energy(deuteron_chain.potential, CH_D, state.energy, grid=state.grid)
     interior = state.grid.r < 3.0
-    scale = state.u[100] / sol.u[100]
-    assert np.max(np.abs(scale * sol.u[interior] - state.u[interior])) < 1e-4
+    scale = state.u[100] / u[100]
+    assert np.max(np.abs(scale * u[interior] - state.u[interior])) < 1e-4
 
 
 def test_regular_solution_amplitude_convention(deuteron_chain):
-    sol = solve_at_energy(deuteron_chain.rec2.result, CH_D, deuteron_chain.ground.energy)
-    assert sol.origin_power == pytest.approx(2.0)
-    assert sol.u[0] == pytest.approx(sol.grid.r_min**2, rel=1e-12)
-    assert sol.u[0] > 0.0
-    assert count_nodes(sol.u) == 0          # nodeless, exponentially growing
+    v2 = deuteron_chain.rec2.result
+    u = solve_at_energy(v2, CH_D, deuteron_chain.ground.energy)
+    assert origin_power(v2) == pytest.approx(2.0)
+    assert u.shape == (v2.grid.n_points,) and not u.flags.writeable
+    assert u[0] == pytest.approx(v2.grid.r_min**2, rel=1e-12)
+    assert u[0] > 0.0
+    assert count_nodes(u) == 0              # nodeless, exponentially growing
 
 
 def test_solve_at_energy_zero_energy_rejected(deuteron_chain):
@@ -348,8 +355,8 @@ def test_solve_at_energy_rescales_instead_of_overflowing(caplog):
     grid = default_grid()
     wall = Tabulated(grid, np.full(grid.n_points, 38000.0), 0.0, CH_D.hbar2_over_2mu)
     with caplog.at_level(logging.WARNING):
-        sol = solve_at_energy(wall, CH_D, -1.0, grid=grid)
-    assert np.all(np.isfinite(sol.u))
+        u = solve_at_energy(wall, CH_D, -1.0, grid=grid)
+    assert np.all(np.isfinite(u))
     assert any("rescaled" in rec.message for rec in caplog.records)
 
 

@@ -181,6 +181,11 @@ def test_iterate_zero_is_identity(deuteron_chain):
     assert iterate_removals(deuteron_chain.potential, CH_D, 0) == []
 
 
+def test_iterate_negative_removals_rejected(deuteron_chain):
+    with pytest.raises(DomainError, match="number of removals"):
+        iterate_removals(deuteron_chain.potential, CH_D, -1)
+
+
 def test_iterate_one_equals_remove_lowest(deuteron_chain):
     records = iterate_removals(deuteron_chain.potential, CH_D, 1, grid=deuteron_chain.grid)
     assert len(records) == 2
