@@ -17,12 +17,12 @@ from .errors import (
 from .fitting import (
     FitResult,
     SystemPreset,
-    a_tilde_from_energy,
     fit_parameters,
     get_preset,
     load_preset_config,
 )
-from .grids import ChannelConstants, RadialGrid, default_grid, integrate
+from .grids import (BoundState, ChannelConstants, RadialGrid, count_nodes, default_grid,
+                    integrate, node_positions)
 from .observables import (
     PhaseShiftCurve,
     TransferStrength,
@@ -40,19 +40,13 @@ from .potentials import (
     PotentialModel,
     SechSquared,
     Tabulated,
+    a_tilde_from_energy,
     analytic_depth,
     analytic_levels,
+    analytic_pt_state,
     level_count,
 )
-from .solver import (
-    BoundState,
-    analytic_pt_state,
-    count_bound_states,
-    count_nodes,
-    node_positions,
-    solve_at_energy,
-    solve_bound_state,
-)
+from .solver import count_bound_states, solve_at_energy, solve_bound_state
 from .transform import (
     SusyTransformRecord,
     build_partners,

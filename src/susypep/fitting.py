@@ -18,10 +18,9 @@ import sys
 from dataclasses import dataclass
 
 from .errors import BracketError, ConfigError, ConvergenceError, DomainError
-from .grids import ChannelConstants, RadialGrid, default_grid
+from .grids import BoundState, ChannelConstants, RadialGrid, default_grid
 from .observables import _radius, rms_radius
-from .potentials import analytic_levels
-from .solver import BoundState, analytic_pt_state
+from .potentials import a_tilde_from_energy, analytic_levels, analytic_pt_state
 # Unused here since fits run no sweeps; perfbench's tracer test still expects
 # every namespace it wraps, this one included, to hold the name.
 from .solver import solve_bound_state  # noqa: F401
@@ -125,17 +124,6 @@ class FitResult:
     energy_residual: float
     rms_residual: float
     iterations: int
-
-
-def a_tilde_from_energy(energy: float, beta: float, channel: ChannelConstants, n: int) -> float:
-    """Exact inversion of the level formula for the strength parameter."""
-    if not -math.inf < energy < 0.0:
-        raise DomainError(f"bound energy must be finite and < 0, got {energy}")
-    if not 0.0 < beta < math.inf:
-        raise DomainError(f"beta must be finite and > 0, got {beta}")
-    if n < 0:
-        raise DomainError(f"state index must be >= 0, got {n}")
-    return 2.0 * n + 1.0 + math.sqrt(-energy / channel.hbar2_over_2mu) / beta
 
 
 def _brent_root(func, previous, best, contra, iterations: int) -> tuple[float, int]:
@@ -290,7 +278,7 @@ def load_preset_config(path) -> SystemPreset:
                     raise ConfigError(f"{path}:{lineno}: name must be non-empty and hold "
                                       f"no '/' or '\\' (it names output files), got {value!r}")
                 entries[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     missing = [key for key in required if key not in entries]

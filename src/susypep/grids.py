@@ -1,9 +1,12 @@
-"""Uniform radial grids, channel constants and grid quadrature.
+"""Uniform radial grids, channel constants, grid quadrature and bound states.
 
 All lengths are fm, energies MeV. Grids start one step away from the
 origin: transformed potentials carry a c/r^2 singularity there, so r = 0
 is never a mesh point; quadrature routines account for the [0, r_1]
 sliver explicitly.
+
+``BoundState`` is the normalized eigenstate that the solver and the sech^2
+closed form both return, finished by ``BoundState.from_profile``.
 """
 from __future__ import annotations
 
@@ -104,3 +107,68 @@ def integrate(values: np.ndarray, grid: RadialGrid) -> float:
     h = grid.step
     core = h * (0.5 * (v[0] + v[-1]) + v[1:-1].sum())
     return core + 0.5 * h * v[0]   # [0, r_1] sliver with value 0 at the origin
+
+
+@dataclass(frozen=True)
+class BoundState:
+    """Normalized eigensolution on a radial grid.
+
+    ``u`` carries dimension fm^(-1/2); the sign convention is a positive
+    tail (asymptotic amplitude > 0). ``kappa`` is the asymptotic decay
+    constant sqrt(-E 2mu / hbar^2).
+    """
+
+    energy: float
+    nodes: int
+    u: np.ndarray
+    kappa: float
+    grid: RadialGrid
+    norm_residual: float = 0.0
+
+    def __post_init__(self):
+        if not -math.inf < self.energy < 0.0:
+            raise DomainError(f"bound-state energy must be finite and negative, got {self.energy}")
+        object.__setattr__(self, "u", frozen(self.u))
+
+    @classmethod
+    def from_profile(cls, u: np.ndarray, energy: float, c: float, grid: RadialGrid) -> "BoundState":
+        """The BoundState of profile ``u`` at ``energy``: normalized, with a positive tail.
+
+        The tail sign is that of the last point where |u| exceeds 1e-3 of its
+        maximum; kappa is sqrt(-E / c) and the norm residual |int u^2 - 1|.
+        Raises DomainError for a profile that is not finite or has zero norm.
+        """
+        norm = integrate(u * u, grid)
+        if not 0.0 < norm < math.inf:   # also false for nan
+            raise DomainError(f"bound-state profile has norm {norm}; it must be finite and > 0")
+        u = u / math.sqrt(norm)
+        appreciable = u[np.abs(u) > 1e-3 * np.max(np.abs(u))]
+        if appreciable.size and appreciable[-1] < 0.0:
+            u = -u
+        return cls(energy=energy, nodes=count_nodes(u), u=u, kappa=math.sqrt(-energy / c),
+                   grid=grid, norm_residual=abs(integrate(u * u, grid) - 1.0))
+
+
+def _sign_changes(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the nonzero entries, and where the sign bit flips between neighbouring ones.
+
+    Comparing sign bits rather than the sign of u_i u_j cannot overflow or
+    underflow, so no crossing is lost at extreme amplitudes.
+    """
+    nonzero = arr != 0.0
+    negative = np.signbit(arr[nonzero])
+    return nonzero, negative[1:] != negative[:-1]
+
+
+def count_nodes(u) -> int:
+    """Strict sign changes over the array (exact zeros are skipped)."""
+    return int(np.count_nonzero(_sign_changes(np.asarray(u, dtype=float))[1]))
+
+
+def node_positions(u, grid: RadialGrid) -> np.ndarray:
+    """Radii of interior zero crossings, linearly interpolated."""
+    arr = np.asarray(u, dtype=float)
+    nonzero, flips = _sign_changes(arr)
+    idx = np.flatnonzero(nonzero)
+    i, j = idx[:-1][flips], idx[1:][flips]
+    return grid.r[i] - arr[i] * (grid.step * (j - i)) / (arr[j] - arr[i])

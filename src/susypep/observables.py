@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .grids import ChannelConstants, RadialGrid, frozen, integrate
+from .grids import BoundState, ChannelConstants, RadialGrid, frozen, integrate
 from .potentials import PotentialModel, values_on_grid
-from .solver import BoundState, outward_node_count, regular_values_at, resolve
+from .solver import outward_node_count, regular_values_at, resolve
 
 log = logging.getLogger(__name__)
 

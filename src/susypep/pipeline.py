@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fitting import FitResult, SystemPreset, fit_parameters
-from .grids import ChannelConstants, RadialGrid
+from .grids import BoundState, ChannelConstants, RadialGrid
 from .observables import (
     PhaseShiftCurve,
     TransferStrength,
@@ -19,7 +19,7 @@ from .observables import (
     zero_range_strength,
 )
 from .potentials import SechSquared
-from .solver import BoundState, solve_bound_state
+from .solver import solve_bound_state
 from .transform import SusyTransformRecord, iterate_removals
 
 

@@ -1,4 +1,4 @@
-"""Radial potential families and the sech^2 closed-form spectrum.
+"""Radial potential families and every sech^2 closed form.
 
 Two families are supported:
 
@@ -16,6 +16,9 @@ grid (see ``values_on_grid``). Both carry ``levels``, the bound energies
 they are known to have (closed form for ``SechSquared``; the source's
 spectrum minus the removed level for a SUSY partner), where the solver
 starts its eigenvalue search.
+
+Every sech^2 closed form lives here: levels, depth, level count, a_tilde
+from a level, and the eigenstates (Cooper, Khare & Sukhatme 1995).
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, NoSuchStateError
-from .grids import ChannelConstants, RadialGrid, frozen
+from .grids import BoundState, ChannelConstants, RadialGrid, default_grid, frozen
 
 
 def sech(x):
@@ -157,6 +160,17 @@ def analytic_levels(a_tilde: float, beta: float, channel: ChannelConstants, n: i
     return -channel.hbar2_over_2mu * kappa_factor**2 * beta**2
 
 
+def a_tilde_from_energy(energy: float, beta: float, channel: ChannelConstants, n: int) -> float:
+    """Exact inversion of the level formula for the strength parameter."""
+    if not -math.inf < energy < 0.0:
+        raise DomainError(f"bound energy must be finite and < 0, got {energy}")
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"beta must be finite and > 0, got {beta}")
+    if n < 0:
+        raise DomainError(f"state index must be >= 0, got {n}")
+    return 2.0 * n + 1.0 + math.sqrt(-energy / channel.hbar2_over_2mu) / beta
+
+
 def analytic_depth(a_tilde: float, beta: float, channel: ChannelConstants) -> float:
     """Well depth V0 = c At (At + 1) beta^2, MeV (positive magnitude)."""
     if not (0.0 <= a_tilde < math.inf and 0.0 <= beta < math.inf):
@@ -176,3 +190,39 @@ def level_count(a_tilde: float) -> int:
         n_max += 1
     return n_max + 1
 
+
+def _gegenbauer(k: int, lam: float, x: np.ndarray) -> np.ndarray:
+    """C_k^lam(x) from the three-term recurrence
+    k C_k = 2 (k + lam - 1) x C_{k-1} - (k + 2 lam - 2) C_{k-2}."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)     # C_{-1} = 0, C_0 = 1
+    for j in range(1, k + 1):
+        prev, cur = cur, (2.0 * (j + lam - 1.0) * x * cur - (j + 2.0 * lam - 2.0) * prev) / j
+    return cur
+
+
+def analytic_pt_state(
+    a_tilde: float,
+    beta: float,
+    channel: ChannelConstants,
+    n: int,
+    grid: RadialGrid | None = None,
+) -> BoundState:
+    """Closed-form sech^2 eigenstate for any bound level n, normalized on the grid.
+
+    With s = a_tilde and nu = 2n + 1 (the odd full-line states vanish at the
+    origin),
+
+        u_n ∝ sech^(s - nu)(beta r) C_nu^(s - nu + 1/2)(tanh beta r),
+
+    C the Gegenbauer polynomial (Cooper, Khare & Sukhatme, Phys. Rep. 251,
+    267 (1995)). Raises NoSuchStateError for a level the well does not hold,
+    and DomainError when the profile under/overflows to zero or non-finite
+    values (strengths far beyond any nucleus).
+    """
+    energy = analytic_levels(a_tilde, beta, channel, n)   # raises if absent
+    g = grid if grid is not None else default_grid()
+    x = beta * g.r
+    power = a_tilde - 2.0 * n - 1.0
+    with np.errstate(over="ignore", invalid="ignore"):   # BoundState.from_profile rejects it
+        u = sech(x) ** power * _gegenbauer(2 * n + 1, power + 0.5, np.tanh(x))
+    return BoundState.from_profile(u, energy, channel.hbar2_over_2mu, g)

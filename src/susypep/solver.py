@@ -1,5 +1,8 @@
 """Radial bound-state eigensolver and fixed-energy regular solutions.
 
+Only integration and the eigenvalue search live here: ``BoundState`` and its
+finishing step are in ``grids``, the sech^2 closed forms in ``potentials``.
+
 The radial equation is integrated as u'' = f(r) u with
 f = (V - E) / (hbar^2/2mu) using Numerov sweeps (``_kernels``, called from here alone).
 Eigenvalues are found in two stages. The search starts from a bracket that
@@ -25,66 +28,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import BracketError, ConvergenceError, DomainError
-from .grids import ChannelConstants, RadialGrid, default_grid, frozen, integrate
-from .potentials import PotentialModel, Tabulated, analytic_levels, sech, values_on_grid
+from .grids import BoundState, ChannelConstants, RadialGrid, count_nodes, default_grid, frozen
+from .potentials import PotentialModel, Tabulated, values_on_grid
 
 log = logging.getLogger(__name__)
 
 ENERGY_TOL = 1e-8           # MeV, last correction or bracket width at termination
 MAX_BISECTIONS = 300        # bisection and correction steps together
-
-
-@dataclass(frozen=True)
-class BoundState:
-    """Normalized eigensolution on a radial grid.
-
-    ``u`` carries dimension fm^(-1/2); the sign convention is a positive
-    tail (asymptotic amplitude > 0). ``kappa`` is the asymptotic decay
-    constant sqrt(-E 2mu / hbar^2).
-    """
-
-    energy: float
-    nodes: int
-    u: np.ndarray
-    kappa: float
-    grid: RadialGrid
-    norm_residual: float = 0.0
-
-    def __post_init__(self):
-        if not -math.inf < self.energy < 0.0:
-            raise DomainError(f"bound-state energy must be finite and negative, got {self.energy}")
-        object.__setattr__(self, "u", frozen(self.u))
-
-
-def _sign_changes(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the nonzero entries, and where the sign bit flips between neighbouring ones.
-
-    Comparing sign bits rather than the sign of u_i u_j cannot overflow or
-    underflow, so no crossing is lost at extreme amplitudes.
-    """
-    nonzero = arr != 0.0
-    negative = np.signbit(arr[nonzero])
-    return nonzero, negative[1:] != negative[:-1]
-
-
-def count_nodes(u) -> int:
-    """Strict sign changes over the array (exact zeros are skipped)."""
-    return int(np.count_nonzero(_sign_changes(np.asarray(u, dtype=float))[1]))
-
-
-def node_positions(u, grid: RadialGrid) -> np.ndarray:
-    """Radii of interior zero crossings, linearly interpolated."""
-    arr = np.asarray(u, dtype=float)
-    nonzero, flips = _sign_changes(arr)
-    idx = np.flatnonzero(nonzero)
-    i, j = idx[:-1][flips], idx[1:][flips]
-    return grid.r[i] - arr[i] * (grid.step * (j - i)) / (arr[j] - arr[i])
 
 
 def origin_power(potential: PotentialModel) -> float:
@@ -128,10 +83,15 @@ def _series_coefficients(f: np.ndarray, p: float, grid: RadialGrid):
 
 
 def _series_start(f: np.ndarray, p: float, grid: RadialGrid):
+    """(u_1, u_2) of the origin series; DomainError when either is zero or not finite."""
     a2, a4 = _series_coefficients(f, p, grid)
     r1, r2 = grid.r[0], grid.r[1]
     u1 = r1**p * (1.0 + a2 * r1**2 + a4 * r1**4)
     u2 = r2**p * (1.0 + a2 * r2**2 + a4 * r2**4)
+    starts = np.abs([u1, u2])
+    if not np.all((starts > 0.0) & (starts < math.inf)):   # r^p underflows for large p
+        raise DomainError(f"the origin series r^{p:.6g} (1 + a2 r^2 + a4 r^4) is zero or not "
+                          f"finite on the first points of a {grid.step} fm mesh")
     return u1, u2
 
 
@@ -333,27 +293,14 @@ def solve_bound_state(
     if pieces is None:
         raise ConvergenceError("vanishing amplitude at the matching point")
     m, uo, ui = pieces
-    state = _finished_state(np.concatenate([uo[:m], ui[1:] * (uo[m] / ui[1])]), energy, c, g)
+    u = np.concatenate([uo[:m], ui[1:] * (uo[m] / ui[1])])
+    state = BoundState.from_profile(u, energy, c, g)
     if state.nodes != target_nodes:
         raise ConvergenceError(
             f"matched solution has {state.nodes} nodes, expected {target_nodes} "
             f"(E={energy:.6g} MeV); refine the grid or bracket"
         )
     return state
-
-
-def _finished_state(u: np.ndarray, energy: float, c: float, grid: RadialGrid) -> BoundState:
-    """The BoundState of profile ``u`` at ``energy``: normalized, with a positive tail.
-
-    The tail sign is that of the last point where |u| exceeds 1e-3 of its
-    maximum; kappa is sqrt(-E / c) and the norm residual |int u^2 - 1|.
-    """
-    u = u / math.sqrt(integrate(u * u, grid))
-    appreciable = u[np.abs(u) > 1e-3 * np.max(np.abs(u))]
-    if appreciable.size and appreciable[-1] < 0.0:
-        u = -u
-    return BoundState(energy=energy, nodes=count_nodes(u), u=u, kappa=math.sqrt(-energy / c),
-                      grid=grid, norm_residual=abs(integrate(u * u, grid) - 1.0))
 
 
 def solve_at_energy(
@@ -393,37 +340,3 @@ def count_bound_states(
     """Number of bound states = interior nodes of the zero-energy regular solution."""
     v, c, p, g = resolve(potential, channel, grid)
     return outward_node_count(v / c, p, g)
-
-
-def _gegenbauer(k: int, lam: float, x: np.ndarray) -> np.ndarray:
-    """C_k^lam(x) from the three-term recurrence
-    k C_k = 2 (k + lam - 1) x C_{k-1} - (k + 2 lam - 2) C_{k-2}."""
-    prev, cur = np.zeros_like(x), np.ones_like(x)     # C_{-1} = 0, C_0 = 1
-    for j in range(1, k + 1):
-        prev, cur = cur, (2.0 * (j + lam - 1.0) * x * cur - (j + 2.0 * lam - 2.0) * prev) / j
-    return cur
-
-
-def analytic_pt_state(
-    a_tilde: float,
-    beta: float,
-    channel: ChannelConstants,
-    n: int,
-    grid: RadialGrid | None = None,
-) -> BoundState:
-    """Closed-form sech^2 eigenstate for any bound level n, normalized on the grid.
-
-    With s = a_tilde and nu = 2n + 1 (the odd full-line states vanish at the
-    origin),
-
-        u_n ∝ sech^(s - nu)(beta r) C_nu^(s - nu + 1/2)(tanh beta r),
-
-    C the Gegenbauer polynomial (Cooper, Khare & Sukhatme, Phys. Rep. 251,
-    267 (1995)). Raises NoSuchStateError for a level the well does not hold.
-    """
-    energy = analytic_levels(a_tilde, beta, channel, n)   # raises if absent
-    g = grid if grid is not None else default_grid()
-    x = beta * g.r
-    power = a_tilde - 2.0 * n - 1.0
-    u = sech(x) ** power * _gegenbauer(2 * n + 1, power + 0.5, np.tanh(x))
-    return _finished_state(u, energy, channel.hbar2_over_2mu, g)

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grids import ChannelConstants, RadialGrid
+from .grids import BoundState, ChannelConstants, RadialGrid
 from .potentials import PotentialModel, Tabulated
 from .solver import (
-    BoundState,
     count_bound_states,
     log_derivative,
     origin_power,

@@ -338,6 +338,24 @@ def test_infinite_value_in_a_config_file_is_config_error(line, tmp_path, capsys)
     assert "finite" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"name = caf\xff\n")
+    assert run(["fit", "--config", str(cfg)]) == 3
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_fit_whose_closed_form_states_overflow_is_convergence_error(tmp_path, capsys):
+    # a_tilde ~ 1e150 here: the trial states are not finite and the fit must say so
+    cfg = tmp_path / "light.cfg"
+    cfg.write_text("name = light\nhbar2_over_2mu = 1e-300\ntarget_energy = -2.226\n"
+                   "target_rms = 1.95\nnodes = 1\ncoordinate_factor = quarter\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "state disappeared" in capsys.readouterr().err
+
+
 def test_every_registered_preset_can_be_selected(monkeypatch):
     monkeypatch.setitem(fitting.PRESETS, "deuteron2", fitting.PRESETS["deuteron"])
     assert cli._PARSER.parse_args(["fit", "--preset", "deuteron2"]).preset == "deuteron2"

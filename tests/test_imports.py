@@ -14,6 +14,11 @@ it anywhere in ``src/susypep`` counts as a reference.
 The layering check keeps the Numerov sweeps behind the solver: among the
 package's own modules, only ``solver.py`` imports ``_kernels`` and none
 imports a ``_``-name from ``.solver``.
+The home check gives each closed form and the bound-state type one module:
+the sech^2 closed forms are defined only in ``potentials.py``, ``BoundState``
+and the node counters only in ``grids.py``, and ``solver.py`` defines no
+class. ``potentials.py`` imports no package module but ``errors`` and
+``grids``, and ``fitting.py`` takes only ``solve_bound_state`` from the solver.
 """
 import ast
 from pathlib import Path
@@ -91,22 +96,54 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def import_paths(node: ast.AST) -> list[str] | None:
+    """Dotted names an import statement binds (``.grids.X`` as ``grids.X``), else None."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [f"{node.module or ''}.{alias.name}".lstrip(".") for alias in node.names]
+    return None
+
+
 def layering_breaches(sources: dict[str, str]) -> list[str]:
     found = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Import):
-                paths = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                paths = [f"{node.module or ''}.{alias.name}".lstrip(".") for alias in node.names]
-                if (node.module or "").split(".")[-1] == "solver":
-                    found += [f"{module}:{node.lineno} solver.{alias.name}"
-                              for alias in node.names if alias.name.startswith("_")]
-            else:
+            paths = import_paths(node)
+            if paths is None:
                 continue
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "solver":
+                found += [f"{module}:{node.lineno} solver.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
             if module != "solver.py":
                 found += [f"{module}:{node.lineno} {path}" for path in paths
                           if "_kernels" in path.split(".")]
+    return found
+
+
+HOMES = {**dict.fromkeys(("_gegenbauer", "analytic_pt_state", "a_tilde_from_energy",
+                          "analytic_levels", "analytic_depth", "level_count"), "potentials.py"),
+         **dict.fromkeys(("BoundState", "count_nodes", "node_positions"), "grids.py")}
+
+
+def home_breaches(sources: dict[str, str]) -> list[str]:
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if HOMES.get(node.name, module) != module or (
+                        module == "solver.py" and isinstance(node, ast.ClassDef)):
+                    found.append(f"{module}:{node.lineno} defines {node.name}")
+                continue
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue     # the package imports its own modules relatively
+            paths = import_paths(node)
+            if module == "potentials.py":
+                found += [f"{module}:{node.lineno} {path}" for path in paths
+                          if path.split(".")[0] not in ("errors", "grids")]
+            if module == "fitting.py":
+                found += [f"{module}:{node.lineno} {path}" for path in paths
+                          if path.split(".")[0] == "solver" and path != "solver.solve_bound_state"]
     return found
 
 
@@ -165,3 +202,25 @@ def test_only_the_solver_runs_the_kernels():
                for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert "observables.py" in sources
     assert layering_breaches(sources) == []
+
+
+def test_the_scan_sees_closed_forms_and_states_away_from_home():
+    sources = {"solver.py": "class BoundState:\n    pass\ndef _gegenbauer(k):\n    return k\n",
+               "grids.py": "class BoundState:\n    pass\ndef count_nodes(u):\n    return 0\n",
+               "potentials.py": ("import numpy\nfrom .grids import BoundState\n"
+                                 "from .errors import DomainError\nfrom . import solver\n"
+                                 "from .observables import rms_radius\n"),
+               "fitting.py": ("from .solver import solve_bound_state  # noqa: F401\n"
+                              "from .solver import BoundState\nfrom .potentials import level_count\n")}
+    assert home_breaches(sources) == [
+        "solver.py:1 defines BoundState", "solver.py:3 defines _gegenbauer",
+        "potentials.py:4 solver", "potentials.py:5 observables.rms_radius",
+        "fitting.py:2 solver.BoundState"]
+
+
+def test_closed_forms_and_the_bound_state_type_each_have_one_home():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert all(f"def {name}(" in sources[home] or f"class {name}:" in sources[home]
+               for name, home in HOMES.items())
+    assert home_breaches(sources) == []

@@ -149,12 +149,15 @@ def test_level_count_examples():
     lambda: level_count(math.inf),
     lambda: analytic_pt_state(3.146, math.nan, CH_D, 0),
     lambda: analytic_pt_state(math.inf, 1.587, CH_D, 0),
+    lambda: analytic_pt_state(1e150, 0.5, CH_D, 1),    # C_3 overflows against sech^s = 0
+    lambda: analytic_pt_state(1e9, 0.5, CH_D, 0),      # sech^s underflows to 0 everywhere
     lambda: charge_radius(0.88, math.nan),
     lambda: charge_radius(math.inf, 2.0),
     lambda: matter_radius(10, 2.3, math.inf),
     lambda: matter_radius(10, math.nan, 6.7),
 ], ids=["levels-a-inf", "levels-a-nan", "levels-beta-inf", "levels-beta-nan", "depth-beta-inf",
-        "depth-a-nan", "count-nan", "count-inf", "pt-beta-nan", "pt-a-inf", "charge-rms-nan",
+        "depth-a-nan", "count-nan", "count-inf", "pt-beta-nan", "pt-a-inf", "pt-state-nan",
+        "pt-state-zero", "charge-rms-nan",
         "charge-proton-inf", "matter-rms-inf", "matter-core-nan"])
 def test_closed_form_and_radius_helpers_reject_non_finite_input(call):
     with warnings.catch_warnings():

@@ -360,6 +360,22 @@ def test_solve_at_energy_rescales_instead_of_overflowing(caplog):
     assert any("rescaled" in rec.message for rec in caplog.records)
 
 
+UNDERFLOWING_START_CALLS = {
+    "solve_at_energy": lambda pot: solve_at_energy(pot, CH_D, 1.0),
+    "phase_shift": lambda pot: phase_shift(pot, CH_D, 1.0),
+    "count_bound_states": lambda pot: count_bound_states(pot, CH_D),
+}
+
+
+@pytest.mark.parametrize("name", UNDERFLOWING_START_CALLS)
+def test_an_origin_series_that_underflows_is_rejected(name):
+    # c = 1e6 gives p ~ 1000.5, and r_1^p underflows to 0: the sweep would be all zeros
+    grid = default_grid()
+    pot = Tabulated(grid, np.zeros(grid.n_points), 1e6, CH_D.hbar2_over_2mu)
+    with pytest.raises(DomainError, match="origin series"):
+        UNDERFLOWING_START_CALLS[name](pot)
+
+
 # --- analytic sech^2 states ------------------------------------------------------
 
 def _gegenbauer_sum(k, lam, x):
