@@ -1,10 +1,9 @@
 """Numerov sweep kernels: compiled extension with a pure-Python fallback.
 
-The compiled module is preferred when importable; set SUSYPEP_PURE_PYTHON=1
-to force the fallback in a tree or install that has the kernel built.
-``BACKEND`` names the implementation actually in use. Both backends give
-bit-identical results. ``susypep.solver`` is the only caller of these
-sweeps; every other module gets its solutions from there.
+The compiled module is used whenever it imports. ``BACKEND`` names the
+implementation in use. Both backends give bit-identical results.
+``susypep.solver`` is the only caller of these sweeps; every other module
+gets its solutions from there.
 
 Each backend holds one recurrence, ``sweep_outward``. ``sweep_inward`` runs
 it on the reversed mesh: reversing the index gives the same arithmetic in
@@ -24,22 +23,16 @@ per curve (28-92 us per energy against 9-23 ms per 5-200-energy curve on
 0.01 fm x 35 fm and 0.005 fm x 100 fm deuteron grids, 2-vCPU Xeon VM), so
 the loop is the faster of the two up to a few hundred energies per curve.
 """
-import os
-
 import numpy as np
 
 from . import _numerov_py
 
-if os.environ.get("SUSYPEP_PURE_PYTHON") == "1":
+try:
+    from . import _numerov_cy as _impl
+    BACKEND = "cython"
+except ImportError:
     _impl = _numerov_py
     BACKEND = "python"
-else:
-    try:
-        from . import _numerov_cy as _impl
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _numerov_py
-        BACKEND = "python"
 
 
 sweep_outward = _impl.sweep_outward

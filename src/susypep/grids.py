@@ -82,6 +82,12 @@ def default_grid() -> RadialGrid:
     return RadialGrid.from_extent(DEFAULT_STEP, DEFAULT_R_MAX)
 
 
+def check_index(n, what: str) -> None:
+    """Raise DomainError unless ``n`` is a whole number >= 0 (numpy integers count)."""
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise DomainError(f"{what} must be a whole number >= 0, got {n!r}")
+
+
 @dataclass(frozen=True)
 class ChannelConstants:
     """Kinematic constant hbar^2/(2 mu) of a two-body channel, MeV fm^2."""

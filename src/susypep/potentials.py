@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .errors import DomainError, NoSuchStateError
-from .grids import BoundState, ChannelConstants, RadialGrid, default_grid, frozen
+from .grids import (MAX_GRID_POINTS, BoundState, ChannelConstants, RadialGrid, check_index,
+                    default_grid, frozen)
 
 
 def sech(x):
@@ -61,19 +63,21 @@ class SechSquared:
             raise DomainError(f"beta must be finite and > 0, got {self.beta}")
         if not 0.0 < self.hbar2_over_2mu < math.inf:
             raise DomainError(f"hbar2_over_2mu must be finite and > 0, got {self.hbar2_over_2mu}")
+        if level_count(self.a_tilde) > MAX_GRID_POINTS:   # more nodes than any mesh resolves
+            raise DomainError(f"a_tilde={self.a_tilde} holds more than {MAX_GRID_POINTS:,} levels")
 
     @property
     def depth(self) -> float:
         """Well depth V0 in MeV (positive number)."""
-        return self.hbar2_over_2mu * self.a_tilde * (self.a_tilde + 1.0) * self.beta**2
+        return analytic_depth(self.a_tilde, self.beta, ChannelConstants(self.hbar2_over_2mu))
 
     @property
     def singular_coefficient(self) -> float:
         return 0.0
 
-    @property
+    @cached_property
     def levels(self) -> tuple[float, ...]:
-        """Closed-form bound energies E_n, MeV, for every level the well holds."""
+        """Closed-form bound energies E_n, MeV, for every level the well holds; computed once."""
         channel = ChannelConstants(self.hbar2_over_2mu)
         return tuple(analytic_levels(self.a_tilde, self.beta, channel, n)
                      for n in range(level_count(self.a_tilde)))
@@ -148,8 +152,7 @@ def analytic_levels(a_tilde: float, beta: float, channel: ChannelConstants, n: i
     Only the odd full-line states survive the u(0) = 0 boundary condition,
     hence the 2n + 1 combination.
     """
-    if n < 0:
-        raise DomainError(f"state index must be >= 0, got {n}")
+    check_index(n, "state index")
     if not (math.isfinite(a_tilde) and math.isfinite(beta)):
         raise DomainError(f"a_tilde and beta must be finite, got {a_tilde}, {beta}")
     kappa_factor = a_tilde - 2.0 * n - 1.0
@@ -157,7 +160,9 @@ def analytic_levels(a_tilde: float, beta: float, channel: ChannelConstants, n: i
         raise NoSuchStateError(
             f"no bound state n={n} for a_tilde={a_tilde} (needs a_tilde > {2 * n + 1})"
         )
-    return -channel.hbar2_over_2mu * kappa_factor**2 * beta**2
+    # products, not float **, which raises OverflowError instead of giving inf
+    return _finite(-channel.hbar2_over_2mu * (kappa_factor * kappa_factor) * (beta * beta),
+                   "level", a_tilde, beta)
 
 
 def a_tilde_from_energy(energy: float, beta: float, channel: ChannelConstants, n: int) -> float:
@@ -166,8 +171,7 @@ def a_tilde_from_energy(energy: float, beta: float, channel: ChannelConstants, n
         raise DomainError(f"bound energy must be finite and < 0, got {energy}")
     if not 0.0 < beta < math.inf:
         raise DomainError(f"beta must be finite and > 0, got {beta}")
-    if n < 0:
-        raise DomainError(f"state index must be >= 0, got {n}")
+    check_index(n, "state index")
     return 2.0 * n + 1.0 + math.sqrt(-energy / channel.hbar2_over_2mu) / beta
 
 
@@ -175,7 +179,14 @@ def analytic_depth(a_tilde: float, beta: float, channel: ChannelConstants) -> fl
     """Well depth V0 = c At (At + 1) beta^2, MeV (positive magnitude)."""
     if not (0.0 <= a_tilde < math.inf and 0.0 <= beta < math.inf):
         raise DomainError(f"a_tilde and beta must be finite and >= 0, got {a_tilde}, {beta}")
-    return channel.hbar2_over_2mu * a_tilde * (a_tilde + 1.0) * beta**2
+    return _finite(channel.hbar2_over_2mu * a_tilde * (a_tilde + 1.0) * (beta * beta),
+                   "depth", a_tilde, beta)
+
+
+def _finite(value: float, what: str, a_tilde: float, beta: float) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"the {what} of a_tilde={a_tilde}, beta={beta} overflows")
+    return value
 
 
 def level_count(a_tilde: float) -> int:

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import BracketError, ConvergenceError, DomainError
-from .grids import BoundState, ChannelConstants, RadialGrid, count_nodes, default_grid, frozen
+from .grids import (BoundState, ChannelConstants, RadialGrid, check_index, count_nodes,
+                    default_grid, frozen)
 from .potentials import PotentialModel, Tabulated, values_on_grid
 
 log = logging.getLogger(__name__)
@@ -239,8 +240,7 @@ def solve_bound_state(
     ConvergenceError after MAX_BISECTIONS steps. The returned state is
     assembled from matched outward/inward sweeps and normalized.
     """
-    if target_nodes < 0:
-        raise DomainError(f"target_nodes must be >= 0, got {target_nodes}")
+    check_index(target_nodes, "target_nodes")
     v, c, p, g = resolve(potential, channel, grid)
     h = g.step
 

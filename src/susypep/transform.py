@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grids import BoundState, ChannelConstants, RadialGrid
+from .grids import BoundState, ChannelConstants, RadialGrid, check_index
 from .potentials import PotentialModel, Tabulated
 from .solver import (
     count_bound_states,
@@ -167,8 +167,7 @@ def iterate_removals(
     grid: RadialGrid | None = None,
 ) -> list[SusyTransformRecord]:
     """Remove the k lowest states, two records (V2, V3) per removal."""
-    if k < 0:
-        raise DomainError(f"number of removals must be >= 0, got {k}")
+    check_index(k, "number of removals")
     if k == 0:
         return []
     available = count_bound_states(source, channel, grid=grid)

@@ -185,7 +185,15 @@ def test_extension_builds_from_setup_py(tmp_path):
 
 
 def test_backend_name_is_reported():
-    assert BACKEND in ("cython", "python")
+    """The compiled kernel is used exactly when it imports; no environment variable changes that."""
+    expected = "cython" if _numerov_cy is not None else "python"
+    assert BACKEND == expected
+    src = str(Path(_kernels.__file__).resolve().parents[2])
+    env = dict(os.environ, SUSYPEP_PURE_PYTHON="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "import susypep; print(susypep.BACKEND)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == expected
 
 
 def _barrier_case():

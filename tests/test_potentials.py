@@ -12,12 +12,15 @@ from susypep import (
     RadialGrid,
     SechSquared,
     Tabulated,
+    a_tilde_from_energy,
     analytic_depth,
     analytic_levels,
     analytic_pt_state,
     charge_radius,
+    iterate_removals,
     level_count,
     matter_radius,
+    solve_bound_state,
 )
 
 CH_D = ChannelConstants(41.47, "n-p")
@@ -151,16 +154,47 @@ def test_level_count_examples():
     lambda: analytic_pt_state(math.inf, 1.587, CH_D, 0),
     lambda: analytic_pt_state(1e150, 0.5, CH_D, 1),    # C_3 overflows against sech^s = 0
     lambda: analytic_pt_state(1e9, 0.5, CH_D, 0),      # sech^s underflows to 0 everywhere
+    lambda: analytic_levels(1e160, 1.0, CH_D, 0),      # the level overflows
+    lambda: analytic_levels(3.0, 1e160, CH_D, 0),
+    lambda: analytic_depth(1e160, 1.0, CH_D),          # the depth overflows
+    lambda: SechSquared(2.0, 1e200, CH_D.hbar2_over_2mu).depth,
+    lambda: SechSquared(1e7, 0.5, CH_D.hbar2_over_2mu),   # 5,000,000 levels: more than any mesh
     lambda: charge_radius(0.88, math.nan),
     lambda: charge_radius(math.inf, 2.0),
     lambda: matter_radius(10, 2.3, math.inf),
     lambda: matter_radius(10, math.nan, 6.7),
 ], ids=["levels-a-inf", "levels-a-nan", "levels-beta-inf", "levels-beta-nan", "depth-beta-inf",
         "depth-a-nan", "count-nan", "count-inf", "pt-beta-nan", "pt-a-inf", "pt-state-nan",
-        "pt-state-zero", "charge-rms-nan",
+        "pt-state-zero", "levels-a-overflow", "levels-beta-overflow", "depth-a-overflow",
+        "sech-depth-overflow", "sech-level-count", "charge-rms-nan",
         "charge-proton-inf", "matter-rms-inf", "matter-core-nan"])
 def test_closed_form_and_radius_helpers_reject_non_finite_input(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             call()
+
+
+def test_sech_squared_levels_are_computed_once():
+    pot = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
+    assert pot.levels is pot.levels
+    assert pot.levels == tuple(analytic_levels(3.146, 1.587, CH_D, n) for n in range(2))
+
+
+_PAIR = SechSquared(3.146, 1.587, CH_D.hbar2_over_2mu)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_bound_state(_PAIR, CH_D, 1.5),
+    lambda: analytic_levels(3.146, 1.587, CH_D, 0.5),
+    lambda: a_tilde_from_energy(-2.226, 1.587, CH_D, 0.5),
+    lambda: analytic_pt_state(3.146, 1.587, CH_D, 0.5),
+    lambda: iterate_removals(_PAIR, CH_D, 1.5),
+], ids=["solve", "levels", "a-tilde", "pt-state", "removals"])
+def test_state_indices_must_be_whole_numbers(call):
+    with pytest.raises(DomainError, match="whole number"):
+        call()
+
+
+def test_numpy_integer_state_indices_are_accepted():
+    assert analytic_levels(3.146, 1.587, CH_D, np.int64(1)) == analytic_levels(3.146, 1.587, CH_D, 1)

@@ -7,8 +7,8 @@ wrote byte-identical outputs when their printouts do not differ:
 
     python tools/cli_digests.py > digests.txt
 
-The backend in use (``SUSYPEP_PURE_PYTHON=1`` forces the fallback) is
-printed first.
+The backend in use is printed first: the compiled kernel when it is built
+in ``src``, else the pure-Python fallback.
 """
 import contextlib
 import hashlib

@@ -4,7 +4,7 @@
 
 Each of the 54 cases of ``cli_digests.py`` runs once per tree, as
 ``python -m susypep.cli`` in a subprocess with that tree's ``src`` as
-PYTHONPATH (``SUSYPEP_PURE_PYTHON`` is passed through). For stdout,
+PYTHONPATH, so each tree runs the backend it has built. For stdout,
 stderr and every written file but the checksum manifest, one line gives
 the count of numbers, the largest relative deviation over the pairs with
 |x| > 1e-3 and the largest absolute deviation over the rest. A summary of
