@@ -172,7 +172,10 @@ def a_tilde_from_energy(energy: float, beta: float, channel: ChannelConstants, n
     if not 0.0 < beta < math.inf:
         raise DomainError(f"beta must be finite and > 0, got {beta}")
     check_index(n, "state index")
-    return 2.0 * n + 1.0 + math.sqrt(-energy / channel.hbar2_over_2mu) / beta
+    a_tilde = 2.0 * n + 1.0 + math.sqrt(-energy / channel.hbar2_over_2mu) / beta
+    if not math.isfinite(a_tilde):
+        raise DomainError(f"the a_tilde of energy={energy}, beta={beta} overflows")
+    return a_tilde
 
 
 def analytic_depth(a_tilde: float, beta: float, channel: ChannelConstants) -> float:

@@ -2,6 +2,8 @@ import hashlib
 import importlib.util
 import json
 import logging
+import os
+import subprocess
 import warnings
 from pathlib import Path
 
@@ -515,17 +517,37 @@ def test_verbose_flag_sets_the_root_level_on_every_call():
         root.setLevel(level)
 
 
-def test_cli_digests_tool_lists_its_cases_and_repeats_its_lines(monkeypatch):
+def test_cli_digests_tool_lists_its_cases_and_repeats_its_lines():
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
     spec = importlib.util.spec_from_file_location("cli_digests", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    # digest() replaces the root handlers for each run; put this session's back after
-    monkeypatch.setattr(logging.root, "handlers", list(logging.root.handlers))
-    monkeypatch.setattr(logging.root, "level", logging.root.level)
     assert len(tool.CASES) == 54
     for argv, code in ((["transfer-ratio", "--preset", "alpha"], 3),
                        (["fit", "--preset", "deuteron"], 0)):
         line = tool.digest(argv)
         assert f"exit={code}" in line
         assert tool.digest(argv) == line
+
+
+def import_tool(name, monkeypatch):
+    """A script of tools/ as a module; cli_numdiff imports cli_digests by name."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    return importlib.import_module(name)
+
+
+def test_cli_digests_run_resolves_a_relative_tree_from_another_cwd(tmp_path, monkeypatch):
+    tool = import_tool("cli_digests", monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    tree = Path(os.path.relpath(tool.ROOT, tmp_path))
+    code, outputs = tool.run(tree, ["fit", "--preset", "deuteron"])
+    assert code == 0, outputs["stderr"].decode()
+    assert outputs["fit_deuteron.json"]
+
+
+def test_cli_numdiff_refuses_a_tree_without_the_package_before_running(tmp_path, monkeypatch,
+                                                                         capsys):
+    numdiff = import_tool("cli_numdiff", monkeypatch)
+    monkeypatch.setattr(subprocess, "run", lambda *a, **kw: pytest.fail("started a child"))
+    assert numdiff.main(str(tmp_path), ".") == 1
+    assert str(tmp_path) in capsys.readouterr().out

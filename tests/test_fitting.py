@@ -47,6 +47,11 @@ def test_inversion_rejects_non_finite_input(energy, beta):
         a_tilde_from_energy(energy, beta, CH_D, 1)
 
 
+def test_inversion_rejects_an_overflowing_result():
+    with pytest.raises(DomainError, match="overflows"):
+        a_tilde_from_energy(-1e300, 1e-300, CH_D, 0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     energy=st.floats(min_value=-500.0, max_value=-1e-3),

@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from susypep import (
     ChannelConstants,
     DomainError,
+    RadialGrid,
     SechSquared,
     analytic_levels,
+    analyze,
     build_partners,
     build_pep_via_intermediate,
     count_bound_states,
+    get_preset,
     iterate_removals,
     level_count,
     remove_lowest,
@@ -249,3 +254,33 @@ def test_singular_coefficient_ladder(alpha_chain):
     records = iterate_removals(alpha_chain.potential, CH_A, 2, grid=alpha_chain.grid)
     coefficients = [rec.result.singular_coefficient for rec in records]
     assert coefficients == pytest.approx([2.0, 6.0, 12.0, 20.0])
+
+
+def anc(state, grid):
+    """Asymptotic normalization u(r) exp(kappa r), read at 25 fm."""
+    k = grid.index_of(25.0)
+    return state.u[k] * math.exp(state.kappa * grid.r[k])
+
+
+@pytest.mark.parametrize("name", ["deuteron", "be11", "alpha"])
+def test_partners_keep_or_scale_the_asymptotic_normalization(name):
+    # V3's ground state keeps the tail of V1's n=1 state (and, after a second
+    # removal, of n=2); V2's is scaled by sqrt((kappa0 - kappa1) / (kappa0 + kappa1)).
+    # Each relative error must also fall at least 4x when h halves.
+    errors = []
+    for step in (0.01, 0.005):
+        grid = RadialGrid.from_extent(step, 60.0)
+        chain = analyze(get_preset(name), grid)
+        deep = solve_bound_state(chain.potential, chain.channel, target_nodes=1, grid=grid)
+        kappa0, kappa1 = chain.ground.kappa, deep.kappa
+        scale = math.sqrt((kappa0 - kappa1) / (kappa0 + kappa1))
+        pairs = [(anc(chain.v3_state, grid), anc(deep, grid)),
+                 (anc(chain.v2_state, grid), scale * anc(deep, grid))]
+        if name == "alpha":
+            v3 = iterate_removals(chain.potential, chain.channel, 2, grid=grid)[-1].result
+            ground = solve_bound_state(v3, chain.channel, target_nodes=0, grid=grid)
+            pairs.append((anc(ground, grid), anc(chain.physical, grid)))
+        errors.append([abs(got / want - 1.0) for got, want in pairs])
+    bounds = [(1e-7, 1e-8), (2e-5, 2e-6), (1e-7, 1e-8)]
+    for coarse, fine, (coarse_bound, fine_bound) in zip(*errors, bounds):
+        assert coarse < coarse_bound and fine < fine_bound and fine < coarse / 4

@@ -1,28 +1,25 @@
 """Print a sha256 digest line for each of the 54 standard CLI runs.
 
 Every preset runs every command on the default grid and on a 0.005 fm x
-100 fm grid, in this process. Each output line holds the argv, the exit
-code and the sha256 of stdout, stderr and every written file. Two trees
-wrote byte-identical outputs when their printouts do not differ:
+100 fm grid. Each case runs as a fresh ``python -m susypep.cli`` on this
+checkout's ``src``, so a line certifies what a user's run writes. Each
+output line holds the argv, the exit code and the sha256 of stdout,
+stderr and every written file. Two trees wrote byte-identical outputs
+when their printouts do not differ:
 
     python tools/cli_digests.py > digests.txt
 
 The backend in use is printed first: the compiled kernel when it is built
 in ``src``, else the pure-Python fallback.
 """
-import contextlib
 import hashlib
-import io
-import logging
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from susypep import BACKEND  # noqa: E402
-from susypep.cli import main  # noqa: E402
-
+ROOT = Path(__file__).resolve().parents[1]
 SWEEP = ["--emin", "0.1", "--emax", "20", "--estep", "0.1"]
 COMMANDS = [["fit"], ["spectrum"], ["partner"], ["partner", "--removals", "2"],
             ["report", "--format", "both"], ["report", "--format", "both"] + SWEEP,
@@ -33,23 +30,32 @@ CASES = [command + ["--preset", preset] + grid
          for preset in ("deuteron", "be11", "alpha") for grid in GRIDS for command in COMMANDS]
 
 
-def sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def python(tree: Path, args: list[str], cwd: str) -> subprocess.CompletedProcess:
+    """A fresh ``python ARGS`` in ``cwd`` that imports susypep from ``tree/src`` only."""
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, cwd=cwd)
+
+
+def run(tree: Path, argv: list[str]) -> tuple[int, dict[str, bytes]]:
+    """Exit code and {name: bytes} of stdout, stderr and the written files of one case."""
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = python(tree, ["-m", "susypep.cli", *argv, "--out", tmp], cwd=tmp)
+        outputs = {"stdout": proc.stdout, "stderr": proc.stderr}
+        for path in sorted(p for p in Path(tmp).rglob("*") if p.is_file()):
+            outputs[str(path.relative_to(tmp))] = path.read_bytes()
+    return proc.returncode, outputs
 
 
 def digest(argv: list[str]) -> str:
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        logging.root.handlers.clear()   # main's basicConfig then logs to this run's stderr
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + ["--out", tmp])
-        files = sorted(p for p in Path(tmp).rglob("*") if p.is_file())
-        parts = [f"{p.relative_to(tmp)}={sha(p.read_bytes())}" for p in files]
-    return " ".join([" ".join(argv), f"exit={code}", f"stdout={sha(out.getvalue().encode())}",
-                     f"stderr={sha(err.getvalue().encode())}"] + parts)
+    code, outputs = run(ROOT, argv)
+    parts = [f"{name}={hashlib.sha256(data).hexdigest()}" for name, data in outputs.items()]
+    return " ".join([" ".join(argv), f"exit={code}"] + parts)
 
 
 if __name__ == "__main__":
-    print(f"backend {BACKEND}")
+    backend = python(ROOT, ["-c", "import susypep; print(susypep.BACKEND)"], cwd=str(ROOT))
+    if backend.returncode:
+        sys.exit(backend.stderr.decode())
+    print(f"backend {backend.stdout.decode().strip()}", flush=True)
     for argv in CASES:
         print(digest(argv), flush=True)

@@ -2,41 +2,28 @@
 
     python tools/cli_numdiff.py OLD_TREE NEW_TREE
 
-Each of the 54 cases of ``cli_digests.py`` runs once per tree, as
-``python -m susypep.cli`` in a subprocess with that tree's ``src`` as
+Each of the 54 cases of ``cli_digests.py`` runs once per tree, through its
+``run``: a fresh ``python -m susypep.cli`` with that tree's ``src`` as
 PYTHONPATH, so each tree runs the backend it has built. For stdout,
 stderr and every written file but the checksum manifest, one line gives
 the count of numbers, the largest relative deviation over the pairs with
 |x| > 1e-3 and the largest absolute deviation over the rest. A summary of
 the largest deviations per file name follows. The exit status is 1 when a
-case's exit code or file list differs, or a file's count of numbers or
-its text between the numbers, else 0.
+tree has no ``src/susypep/cli.py`` (nothing runs then), when a case exits
+with a code the CLI does not return (0, 2 and 3; 1 means Python could not
+run it), when a case's exit code or file list differs between the trees,
+or a file's count of numbers or its text between the numbers, else 0.
 """
 import math
-import os
 import re
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-from cli_digests import CASES
+from cli_digests import CASES, run
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:NaN|nan|Infinity|inf)")
 SMALL = 1e-3
-
-
-def run(tree: Path, argv: list[str]) -> tuple[int, dict[str, str]]:
-    """Exit code and {name: text} of stdout, stderr and the written files."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    with tempfile.TemporaryDirectory() as tmp:
-        proc = subprocess.run([sys.executable, "-m", "susypep.cli", *argv, "--out", tmp],
-                              capture_output=True, text=True, env=env, cwd=tmp)
-        texts = {"stdout": proc.stdout, "stderr": proc.stderr}
-        for path in sorted(Path(tmp).rglob("*")):
-            if path.is_file() and path.name != "manifest.json":
-                texts[str(path.relative_to(tmp))] = path.read_text()
-    return proc.returncode, texts
+CLI_EXITS = {0, 2, 3}
 
 
 def deviation(old: str, new: str) -> tuple[int, float, float] | None:
@@ -56,17 +43,22 @@ def deviation(old: str, new: str) -> tuple[int, float, float] | None:
 
 
 def main(old_tree: str, new_tree: str) -> int:
+    trees = [Path(old_tree), Path(new_tree)]
+    missing = [str(tree) for tree in trees if not (tree / "src" / "susypep" / "cli.py").is_file()]
+    if missing:
+        print(f"no src/susypep/cli.py in {' or '.join(missing)}: nothing to compare")
+        return 1
     failed = False
     worst: dict[str, tuple[float, float]] = {}
     for argv in CASES:
         label = " ".join(argv)
-        (code_old, old), (code_new, new) = run(Path(old_tree), argv), run(Path(new_tree), argv)
-        if code_old != code_new or old.keys() != new.keys():
+        (code_old, old), (code_new, new) = (run(tree, argv) for tree in trees)
+        if {code_old, code_new} - CLI_EXITS or code_old != code_new or old.keys() != new.keys():
             print(f"{label}: exit {code_old} -> {code_new}, files {sorted(old)} -> {sorted(new)}")
             failed = True
             continue
-        for name in old:
-            dev = deviation(old[name], new[name])
+        for name in (name for name in old if name != "manifest.json"):
+            dev = deviation(old[name].decode(), new[name].decode())
             if dev is None:
                 print(f"{label}: {name} differs in its count of numbers or its text")
                 failed = True
