@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -543,6 +544,25 @@ def test_cli_digests_run_resolves_a_relative_tree_from_another_cwd(tmp_path, mon
     code, outputs = tool.run(tree, ["fit", "--preset", "deuteron"])
     assert code == 0, outputs["stderr"].decode()
     assert outputs["fit_deuteron.json"]
+
+
+def test_cli_tools_fail_on_a_case_python_could_not_run(tmp_path, monkeypatch):
+    # a tree whose CLI cannot even import: every case exits 1 on both "backends"
+    package = tmp_path / "src" / "susypep"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("BACKEND = 'python'\n")
+    (package / "cli.py").write_text("raise RuntimeError('cli broke')\n")
+    (tmp_path / "tools").mkdir()
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    (tmp_path / "tools" / "cli_digests.py").write_bytes((tools / "cli_digests.py").read_bytes())
+    proc = subprocess.run([sys.executable, str(tmp_path / "tools" / "cli_digests.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == "backend python\n"
+    assert "exit 1" in proc.stderr and "RuntimeError: cli broke" in proc.stderr
+    numdiff = import_tool("cli_numdiff", monkeypatch)
+    with pytest.raises(SystemExit, match="cli broke"):
+        numdiff.main(str(tmp_path), str(tmp_path))
 
 
 def test_cli_numdiff_refuses_a_tree_without_the_package_before_running(tmp_path, monkeypatch,

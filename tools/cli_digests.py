@@ -2,10 +2,10 @@
 
 Every preset runs every command on the default grid and on a 0.005 fm x
 100 fm grid. Each case runs as a fresh ``python -m susypep.cli`` on this
-checkout's ``src``, so a line certifies what a user's run writes. Each
-output line holds the argv, the exit code and the sha256 of stdout,
-stderr and every written file. Two trees wrote byte-identical outputs
-when their printouts do not differ:
+checkout's ``src``, as a user runs it; its line holds the argv, the exit
+code and the sha256 of stdout, stderr and every written file. A case that
+exits with a code the CLI never returns (Python could not run it) stops
+the tool with status 1 and its stderr. Equal printouts mean equal bytes:
 
     python tools/cli_digests.py > digests.txt
 
@@ -28,6 +28,7 @@ COMMANDS = [["fit"], ["spectrum"], ["partner"], ["partner", "--removals", "2"],
 GRIDS = [[], ["--step", "0.005", "--rmax", "100"]]
 CASES = [command + ["--preset", preset] + grid
          for preset in ("deuteron", "be11", "alpha") for grid in GRIDS for command in COMMANDS]
+CLI_EXITS = {0, 2, 3}
 
 
 def python(tree: Path, args: list[str], cwd: str) -> subprocess.CompletedProcess:
@@ -43,6 +44,8 @@ def run(tree: Path, argv: list[str]) -> tuple[int, dict[str, bytes]]:
         outputs = {"stdout": proc.stdout, "stderr": proc.stderr}
         for path in sorted(p for p in Path(tmp).rglob("*") if p.is_file()):
             outputs[str(path.relative_to(tmp))] = path.read_bytes()
+    if proc.returncode not in CLI_EXITS:
+        sys.exit(f"{' '.join(argv)}: exit {proc.returncode}\n{proc.stderr.decode()}")
     return proc.returncode, outputs
 
 
