@@ -72,7 +72,7 @@ def sweep_outward_batch(v, energies, c, h, u0, u1, mid):
     """
     if _impl is _numerov_py and len(energies) >= _MIN_BATCH:
         return _numerov_py.sweep_outward_batch(v, energies, c, h, u0, u1, mid)
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)[:mid + 2]   # the sweeps stop at mid + 1
     rows = np.empty((3, len(energies)))
     log_scale = np.empty(len(energies))
     for j, energy in enumerate(energies):

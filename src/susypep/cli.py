@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DomainError, SusypepError
 from .fitting import PRESETS, SystemPreset, fit_parameters, get_preset, load_preset_config
-from .grids import DEFAULT_R_MAX, DEFAULT_STEP, RadialGrid
+from .grids import DEFAULT_R_MAX, DEFAULT_STEP, RadialGrid, check_index
 from .io import OutputWriter
 from .observables import charge_radius, matter_radius, mod_pi_distance, rms_radius
 from .pipeline import analyze
@@ -55,17 +55,16 @@ class RunConfig:
         else:
             raise ConfigError("one of --preset or --config is required")
 
+        removals = getattr(args, "removals", 1)
         try:
             grid = RadialGrid.from_extent(args.step, args.rmax)
+            check_index(removals, "--removals")
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
         bounds = [getattr(args, name, None) for name in ("emin", "emax", "estep")]
         for flag, value in zip(("--emin", "--emax", "--estep"), bounds):
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{flag} must be finite, got {value}")
-        removals = getattr(args, "removals", 1)
-        if removals < 0:
-            raise ConfigError(f"--removals must be >= 0, got {removals}")
 
         sweep = None
         if any(x is not None for x in bounds):

@@ -18,8 +18,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import BracketError, ConfigError, ConvergenceError, DomainError
-from .grids import BoundState, ChannelConstants, RadialGrid, default_grid
-from .observables import _radius, rms_radius
+from .grids import BoundState, ChannelConstants, RadialGrid, check_index, default_grid
+from .observables import _coordinate_factor, _radius, rms_radius
 from .potentials import a_tilde_from_energy, analytic_levels, analytic_pt_state
 # Unused here since fits run no sweeps; perfbench's tracer test still expects
 # every namespace it wraps, this one included, to hold the name.
@@ -62,10 +62,8 @@ class SystemPreset:
             raise DomainError(f"target energy must be finite and < 0, got {self.target_energy}")
         if self.target_rms is not None and not 0.0 < self.target_rms < math.inf:
             raise DomainError(f"target rms must be finite and > 0, got {self.target_rms}")
-        if self.physical_node_count < 0:
-            raise DomainError(f"node count must be >= 0, got {self.physical_node_count}")
-        if self.coordinate_factor not in ("quarter", "unit"):
-            raise DomainError("coordinate_factor must be 'quarter' or 'unit'")
+        check_index(self.physical_node_count, "node count")
+        _coordinate_factor(self.coordinate_factor)
 
 
 # the alpha-alpha pair is prescribed; its n = 2 level is the energy target

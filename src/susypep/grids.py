@@ -103,9 +103,10 @@ class ChannelConstants:
 def integrate(values: np.ndarray, grid: RadialGrid) -> float:
     """Trapezoidal integral over [0, r_max], with the integrand taken as 0 at r=0.
 
-    This is the single quadrature convention of the package; normalization,
-    radii and transfer strengths all use it so that exported numbers are
-    mutually consistent.
+    Normalization, radii and transfer strengths all use it, so that exported
+    numbers are mutually consistent. The one other quadrature is the
+    cumulative norm I(r) of the phase-equivalent transform, an
+    Euler-Maclaurin-corrected cumulative trapezoid (``transform._cumulative_norm``).
     """
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.n_points,):

@@ -31,16 +31,20 @@ POTENTIAL_DEAD = 1e-6         # MeV, |V| below which the free form applies
 _COORDINATE_FACTORS = {"quarter": 0.25, "unit": 1.0}
 
 
-def _radius(state: BoundState, coordinate_factor: str) -> float:
-    """:func:`rms_radius` without its grid-edge tail check."""
+def _coordinate_factor(name: str) -> float:
+    """The factor f named ``name``; DomainError unless _COORDINATE_FACTORS holds it."""
     try:
-        factor = _COORDINATE_FACTORS[coordinate_factor]
+        return _COORDINATE_FACTORS[name]
     except KeyError:
         raise DomainError(
             f"coordinate_factor must be one of {sorted(_COORDINATE_FACTORS)}"
         ) from None
+
+
+def _radius(state: BoundState, coordinate_factor: str) -> float:
+    """:func:`rms_radius` without its grid-edge tail check."""
     g = state.grid
-    return math.sqrt(factor * integrate(g.r**2 * state.u**2, g))
+    return math.sqrt(_coordinate_factor(coordinate_factor) * integrate(g.r**2 * state.u**2, g))
 
 
 def rms_radius(state: BoundState, coordinate_factor: str = "unit") -> float:
@@ -106,13 +110,16 @@ def _match_index(v: np.ndarray, grid: RadialGrid, r_match: float | None) -> int:
 
 
 def _scattering_energies(energies) -> np.ndarray:
-    """The energies as a float array; DomainError unless each is finite and > 0."""
+    """The energies as a float array; DomainError unless there are some, each
+    finite and > 0, in strictly ascending order."""
     e = np.asarray(energies, dtype=float)
     if e.size == 0:
         raise DomainError("energy sweep is empty")
     bad = e[~((e > 0.0) & (e < math.inf))]
     if bad.size:
         raise DomainError(f"scattering energies must be > 0 and finite, got {bad[0]}")
+    if np.any(np.diff(e) <= 0.0):
+        raise DomainError("energies must be strictly ascending")
     return e
 
 
@@ -154,17 +161,9 @@ class PhaseShiftCurve:
     deltas: np.ndarray
 
     def __post_init__(self):
-        e, d = frozen(self.energies), frozen(self.deltas)
+        e, d = frozen(_scattering_energies(self.energies)), frozen(self.deltas)
         if e.shape != d.shape:
             raise DomainError("energies and deltas must have matching shapes")
-        if np.any(np.diff(e) <= 0.0):
-            raise DomainError("energies must be strictly ascending")
-        jumps = np.abs(np.diff(d))
-        if jumps.size and np.max(jumps) > math.pi / 2.0:
-            log.warning(
-                "phase-shift curve has a %.3f rad jump between samples; "
-                "sweep step may be too coarse", float(np.max(jumps))
-            )
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "deltas", d)
 

@@ -61,8 +61,7 @@ class SechSquared:
                 f"a_tilde must be finite and exceed 1 (one bound odd state), got {self.a_tilde}")
         if not 0.0 < self.beta < math.inf:
             raise DomainError(f"beta must be finite and > 0, got {self.beta}")
-        if not 0.0 < self.hbar2_over_2mu < math.inf:
-            raise DomainError(f"hbar2_over_2mu must be finite and > 0, got {self.hbar2_over_2mu}")
+        ChannelConstants(self.hbar2_over_2mu)   # raises unless finite and > 0
         if level_count(self.a_tilde) > MAX_GRID_POINTS:   # more nodes than any mesh resolves
             raise DomainError(f"a_tilde={self.a_tilde} holds more than {MAX_GRID_POINTS:,} levels")
 
@@ -117,8 +116,7 @@ class Tabulated:
         if not 0.0 <= self.singular_coefficient < math.inf:
             raise DomainError(f"singular_coefficient must be finite and >= 0, got "
                               f"{self.singular_coefficient}")
-        if not 0.0 < self.hbar2_over_2mu < math.inf:
-            raise DomainError(f"hbar2_over_2mu must be finite and > 0, got {self.hbar2_over_2mu}")
+        ChannelConstants(self.hbar2_over_2mu)   # raises unless finite and > 0
         levels = tuple(float(e) for e in self.levels)
         if not all(math.isfinite(e) and e < above for e, above in zip(levels, levels[1:] + (0.0,))):
             raise DomainError(f"levels must be finite bound energies, lowest first, got {levels}")

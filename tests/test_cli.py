@@ -373,7 +373,7 @@ def test_negative_node_count_in_a_config_file_is_config_error(command, tmp_path,
     cfg.write_text("name = custom\nhbar2_over_2mu = 41.47\ntarget_energy = -2.226\n"
                    "target_rms = 1.95\nnodes = -1\ncoordinate_factor = quarter\n")
     assert run([command, "--config", str(cfg)]) == 3
-    assert "node count must be >= 0" in capsys.readouterr().err
+    assert "node count must be a whole number >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["fit", "spectrum", "partner", "transfer-ratio"])

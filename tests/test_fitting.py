@@ -219,6 +219,8 @@ def test_preset_validation():
         )
     with pytest.raises(DomainError, match="coordinate_factor"):
         _preset(coordinate_factor="half")
+    with pytest.raises(DomainError, match="whole number"):
+        _preset(physical_node_count=1.5)
 
 
 def _preset(**changes):

@@ -15,10 +15,11 @@ The layering check keeps the Numerov sweeps behind the solver: among the
 package's own modules, only ``solver.py`` imports ``_kernels`` and none
 imports a ``_``-name from ``.solver``.
 The home check gives each closed form and the bound-state type one module:
-the sech^2 closed forms are defined only in ``potentials.py``, ``BoundState``
-and the node counters only in ``grids.py``, and ``solver.py`` defines no
-class. ``potentials.py`` imports no package module but ``errors`` and
-``grids``, and ``fitting.py`` takes only ``solve_bound_state`` from the solver.
+the sech^2 closed forms are defined only in ``potentials.py``, ``BoundState``,
+the node counters and the index rule ``check_index`` only in ``grids.py``,
+and ``solver.py`` defines no class. ``potentials.py`` imports no package
+module but ``errors`` and ``grids``, and ``fitting.py`` takes only
+``solve_bound_state`` from the solver.
 """
 import ast
 from pathlib import Path
@@ -123,7 +124,8 @@ def layering_breaches(sources: dict[str, str]) -> list[str]:
 
 HOMES = {**dict.fromkeys(("_gegenbauer", "analytic_pt_state", "a_tilde_from_energy",
                           "analytic_levels", "analytic_depth", "level_count"), "potentials.py"),
-         **dict.fromkeys(("BoundState", "count_nodes", "node_positions"), "grids.py")}
+         **dict.fromkeys(("BoundState", "count_nodes", "node_positions", "check_index"),
+                         "grids.py")}
 
 
 def home_breaches(sources: dict[str, str]) -> list[str]:

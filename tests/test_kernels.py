@@ -206,20 +206,30 @@ def _barrier_case():
     return v, energies, c, h, u0, u1, mid
 
 
-def test_batched_outward_sweep_equals_scalar_sweeps():
+def test_batched_outward_sweep_equals_scalar_sweeps(monkeypatch):
     v, energies, c, h, u0, u1, mid = _barrier_case()
     rows, log_scale = _numerov_py.sweep_outward_batch(v, energies, c, h, u0, u1, mid)
     assert log_scale[0] > 0.0 and log_scale[-1] == 0.0
+    sweep, lengths = _kernels._impl.sweep_outward, []
+
+    def spy(f, *args):
+        lengths.append(len(f))
+        return sweep(f, *args)
+
     for j, energy in enumerate(energies):
         u, scale = _numerov_py.sweep_outward((v - energy) / c, h, u0[j], u1[j], mid + 1)
         assert np.array_equal(rows[:, j], u[mid - 1:mid + 2])
         assert scale == log_scale[j]
         if BACKEND == "python":
-            # given one energy, the package-level entry runs the scalar sweep
-            one, one_scale = _kernels.sweep_outward_batch(
-                v, energies[j:j + 1], c, h, u0[j:j + 1], u1[j:j + 1], mid
-            )
+            # given one energy, the package-level entry runs the scalar sweep,
+            # on the points up to the stop index mid + 1 only
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels._impl, "sweep_outward", spy)
+                one, one_scale = _kernels.sweep_outward_batch(
+                    v, energies[j:j + 1], c, h, u0[j:j + 1], u1[j:j + 1], mid
+                )
             assert np.array_equal(one[:, 0], rows[:, j]) and one_scale[0] == scale
+            assert lengths.pop() == mid + 2 and not lengths
 
 
 @needs_compiled

@@ -206,12 +206,6 @@ def test_curve_rejects_unsorted_energies(deuteron_chain):
         phase_shift_curve(deuteron_chain.potential, CH_D, [5.0, 1.0], grid=deuteron_chain.grid)
 
 
-def test_curve_with_a_jump_over_half_pi_warns(caplog):
-    with caplog.at_level(logging.WARNING, logger="susypep.observables"):
-        PhaseShiftCurve(np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.1, 1.8]))
-    assert any("1.700 rad jump" in rec.message for rec in caplog.records)
-
-
 def _scalar_curve(potential, channel, energies, grid):
     """Reference curve: one scalar phase_shift per energy, unwrapped sample by sample."""
     branch = count_bound_states(potential, channel, grid=grid) * math.pi
@@ -269,14 +263,18 @@ def test_batched_curve_through_an_overflow_rescale(monkeypatch):
     assert np.all(scales[0] == -math.log(1e-250))     # 575.6: exactly one rescale
 
 
-@pytest.mark.parametrize("energies", [[0.0, 1.0, 2.0], [-1.0, 1.0, 2.0], [1.0, 2.0, -3.0]])
-def test_curve_rejects_non_positive_energy_before_sweeping(deuteron_chain, monkeypatch, energies):
+@pytest.mark.parametrize("energies, match", [
+    ([0.0, 1.0, 2.0], "must be > 0"), ([-1.0, 1.0, 2.0], "must be > 0"),
+    ([1.0, 2.0, -3.0], "must be > 0"), ([5.0, 1.0, 2.0], "ascending"),
+], ids=[f"energies{i}" for i in range(4)])   # named by the energies alone
+def test_curve_rejects_non_positive_energy_before_sweeping(deuteron_chain, monkeypatch, energies,
+                                                           match):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep ran before the energies were validated")
 
     monkeypatch.setattr(_kernels, "sweep_outward", no_sweep)
     monkeypatch.setattr(_kernels, "sweep_outward_batch", no_sweep)
-    with pytest.raises(DomainError, match="must be > 0"):
+    with pytest.raises(DomainError, match=match):
         phase_shift_curve(deuteron_chain.potential, CH_D, energies, grid=deuteron_chain.grid)
 
 

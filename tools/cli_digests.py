@@ -3,9 +3,11 @@
 Every preset runs every command on the default grid and on a 0.005 fm x
 100 fm grid. Each case runs as a fresh ``python -m susypep.cli`` on this
 checkout's ``src``, as a user runs it; its line holds the argv, the exit
-code and the sha256 of stdout, stderr and every written file. A case that
-exits with a code the CLI never returns (Python could not run it) stops
-the tool with status 1 and its stderr. Equal printouts mean equal bytes:
+code and the sha256 of stdout, stderr and every written file. The cases
+run side by side in a thread pool of the default size, and their lines
+are printed in case order. A case that exits with a code the CLI never
+returns (Python could not run it) stops the tool with status 1 and its
+stderr. Equal printouts mean equal bytes:
 
     python tools/cli_digests.py > digests.txt
 
@@ -17,6 +19,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,5 +63,6 @@ if __name__ == "__main__":
     if backend.returncode:
         sys.exit(backend.stderr.decode())
     print(f"backend {backend.stdout.decode().strip()}", flush=True)
-    for argv in CASES:
-        print(digest(argv), flush=True)
+    with ThreadPoolExecutor() as pool:
+        for line in pool.map(digest, CASES):
+            print(line, flush=True)
