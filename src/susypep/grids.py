@@ -105,8 +105,8 @@ def integrate(values: np.ndarray, grid: RadialGrid) -> float:
 
     Normalization, radii and transfer strengths all use it, so that exported
     numbers are mutually consistent. The one other quadrature is the
-    cumulative norm I(r) of the phase-equivalent transform, an
-    Euler-Maclaurin-corrected cumulative trapezoid (``transform._cumulative_norm``).
+    cumulative integral of the SUSY transforms (I and J in ``transform``), an
+    Euler-Maclaurin-corrected cumulative trapezoid.
     """
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.n_points,):

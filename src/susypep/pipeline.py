@@ -2,7 +2,10 @@
 
 ``analyze`` fixes the deep potential and its partner records; the bound
 states, transfer strengths and phase curves are computed on first use, so
-a caller pays only for the quantities it reads.
+a caller pays only for the quantities it reads. No bound state of a partner
+is solved for: ``v2_state`` and ``v3_state`` are V1's n = 1 state
+intertwined through the first removal (``transform.partner_states``), at
+that state's energy.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from .observables import (
 )
 from .potentials import SechSquared
 from .solver import solve_bound_state
-from .transform import SusyTransformRecord, iterate_removals
+from .transform import SusyTransformRecord, iterate_removals, partner_states
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,20 @@ class ChainResult:
         return self._solve(self.potential, self.preset.physical_node_count)
 
     @cached_property
-    def v2_state(self) -> BoundState:
-        return self._solve(self.rec2.result, 0)
+    def _partner_states(self) -> tuple[BoundState, BoundState]:
+        first_excited = (self.physical if self.preset.physical_node_count == 1
+                         else self._solve(self.potential, 1))
+        return partner_states(self.potential, self.ground, first_excited, self.channel)
 
-    @cached_property
+    @property
+    def v2_state(self) -> BoundState:
+        """Nodeless state of the first removal's V2: V1's n = 1 state, intertwined."""
+        return self._partner_states[0]
+
+    @property
     def v3_state(self) -> BoundState:
-        return self._solve(self.rec3.result, 0)
+        """Nodeless state of the first removal's V3: V1's n = 1 state, intertwined."""
+        return self._partner_states[1]
 
     @cached_property
     def strengths(self) -> tuple[TransferStrength, TransferStrength, float]:

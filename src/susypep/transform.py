@@ -16,10 +16,18 @@ route through the regular solution of V2 at E0
 (``build_pep_via_intermediate``) is kept as an independent cross-check of
 the production path.
 
+The same two steps map states as well as potentials (``partner_states``):
+a bound state psi of the source at energy E goes to the V2 state
+phi2 = psi' - y0 psi and the V3 state phi3 = psi - u0 J / I, with
+y0 = u0'/u0 and J(r) = int_0^r u0 psi, both at E. I and J come from one
+Euler-Maclaurin-corrected cumulative trapezoid.
+
 Near the origin the transformed potentials follow an exact c_sing/r^2 law
 (l_eff grows by 1 for V2 and by 2 for V3); the first three mesh points are
 represented as that law plus a quadratically extrapolated smooth
 remainder, which avoids the cancellation-dominated region where I ~ r^3.
+The partner states' first points follow r^(p+1) and r^(p+2) times a
+smooth factor in the same way.
 """
 from __future__ import annotations
 
@@ -51,14 +59,27 @@ class SusyTransformRecord:
     result: Tabulated
 
 
+def _smooth_start(smooth: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The first mesh points of ``smooth``, from the parabola through the next ones."""
+    k0, k1 = _N_REPLACED, _N_REPLACED + _N_FIT
+    return np.polyval(np.polyfit(r[k0:k1], smooth[k0:k1], 2), r[:k0])
+
+
 def _with_origin_law(v: np.ndarray, c_sing: float, c: float, grid: RadialGrid) -> np.ndarray:
     """Replace the first mesh points by the exact singular law + smooth remainder."""
-    r = grid.r
-    k0, k1 = _N_REPLACED, _N_REPLACED + _N_FIT
-    smooth = v[k0:k1] - c_sing * c / r[k0:k1] ** 2
-    coeffs = np.polyfit(r[k0:k1], smooth, 2)
+    r = grid.r[:_N_REPLACED + _N_FIT]
+    law = c_sing * c / r ** 2
     out = v.copy()
-    out[:k0] = c_sing * c / r[:k0] ** 2 + np.polyval(coeffs, r[:k0])
+    out[:_N_REPLACED] = law[:_N_REPLACED] + _smooth_start(v[:r.size] - law, r)
+    return out
+
+
+def _with_origin_power(u: np.ndarray, q: float, grid: RadialGrid) -> np.ndarray:
+    """Replace the first mesh points of a state by r^q times a smooth factor."""
+    r = grid.r[:_N_REPLACED + _N_FIT]
+    law = r ** q
+    out = u.copy()
+    out[:_N_REPLACED] = law[:_N_REPLACED] * _smooth_start(u[:r.size] / law, r)
     return out
 
 
@@ -98,14 +119,16 @@ def _partner(source: PotentialModel, values: np.ndarray, p: float, shift: float,
                      singular_coefficient=c_sing, hbar2_over_2mu=c, levels=source.levels[1:])
 
 
-def _cumulative_norm(dens: np.ndarray, y: np.ndarray, p_source: float,
-                     grid: RadialGrid) -> np.ndarray:
-    """I(r) = int_0^r u0^2, Euler-Maclaurin-corrected cumulative trapezoid of ``dens``."""
+def _cumulative_integral(g: np.ndarray, g_prime: np.ndarray, p_source: float,
+                         grid: RadialGrid) -> np.ndarray:
+    """int_0^r g, Euler-Maclaurin-corrected cumulative trapezoid of g = u v with g' given.
+
+    u and v are states of the source, so g ~ r^(2p) below r_1.
+    """
     h = grid.step
-    dens_prime = 2.0 * dens * y
-    core = np.concatenate([[0.0], np.cumsum(0.5 * h * (dens[1:] + dens[:-1]))])
-    sliver = dens[0] * grid.r[0] / (2.0 * p_source + 1.0)   # u ~ r^p below r_1
-    return sliver + core - (h * h / 12.0) * (dens_prime - dens_prime[0])
+    core = np.concatenate([[0.0], np.cumsum(0.5 * h * (g[1:] + g[:-1]))])
+    sliver = g[0] * grid.r[0] / (2.0 * p_source + 1.0)
+    return sliver + core - (h * h / 12.0) * (g_prime - g_prime[0])
 
 
 def build_partners(
@@ -119,12 +142,41 @@ def build_partners(
     v1, c, p, y = _resolve_source(source, ground, channel)
     g = ground.grid
     dens = ground.u * ground.u
-    cum = _cumulative_norm(dens, y, p, g)
+    cum = _cumulative_integral(dens, 2.0 * dens * y, p, g)
     ratio = dens / cum
     # (ln I)'' = 2 u u'/I - (u^2/I)^2, with u' = y u
     ln_cum_dd = 2.0 * dens * y / cum - ratio * ratio
     return (_partner(source, -v1 + 2.0 * ground.energy + 2.0 * c * y * y, p, 1.0, c, g),
             _partner(source, v1 - 2.0 * c * ln_cum_dd, p, 2.0, c, g))
+
+
+def partner_states(
+    source: PotentialModel, ground: BoundState, state: BoundState, channel: ChannelConstants
+) -> tuple[BoundState, BoundState]:
+    """(V2, V3) states at ``state``'s energy, intertwined from a bound state of the source.
+
+    ``ground`` is the removed nodeless state u0 (y0 = u0'/u0, I as in
+    :func:`build_partners`) and ``state`` a higher bound state psi of the
+    source on the same grid. V2's state is phi2 = psi' - y0 psi, V3's is
+    phi3 = psi - u0 J / I with J(r) = int_0^r u0 psi; phi3 keeps psi's norm
+    and tail. No eigenvalue search runs. phi2 ~ r^(p+1) and phi3 ~ r^(p+2)
+    are differences of O(r^p) terms near the origin, so their first mesh
+    points follow those laws, as the partner potentials' do.
+    """
+    if state.grid != ground.grid or not state.energy > ground.energy:
+        raise DomainError("the state to map must lie above the removed ground state, "
+                          "on the same grid")
+    v1, c, p, y0 = _resolve_source(source, ground, channel)
+    g = ground.grid
+    psi, u0 = state.u, ground.u
+    y = log_derivative(psi, (v1 - state.energy) / c, p, g, -state.kappa)
+    dens, cross = u0 * u0, u0 * psi
+    cum = _cumulative_integral(dens, 2.0 * dens * y0, p, g)
+    overlap = _cumulative_integral(cross, cross * (y0 + y), p, g)
+    phi2 = _with_origin_power(psi * (y - y0), p + 1.0, g)
+    phi3 = _with_origin_power(psi - u0 * (overlap / cum), p + 2.0, g)
+    return (BoundState.from_profile(phi2, state.energy, c, g),
+            BoundState.from_profile(phi3, state.energy, c, g))
 
 
 def build_pep_via_intermediate(

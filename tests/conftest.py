@@ -1,7 +1,9 @@
 """Shared fixtures: system chains are expensive, so build them once per session."""
+import functools
+
 import pytest
 
-from susypep import ChainResult, analyze, default_grid, get_preset
+from susypep import ChainResult, RadialGrid, analyze, default_grid, get_preset
 
 
 @pytest.fixture(scope="session")
@@ -17,5 +19,19 @@ def be11_chain() -> ChainResult:
 
 @pytest.fixture(scope="session")
 def alpha_chain() -> ChainResult:
-    """First removal of the alpha-alpha chain; the physical state is n=2."""
+    """First removal of the alpha-alpha chain; the physical state is n=2.
+
+    ``v2_state`` and ``v3_state`` are V1's n=1 state intertwined through this
+    first removal, the partners of the forbidden n=1 state, not of the
+    physical one.
+    """
     return analyze(get_preset("alpha"), default_grid())
+
+
+@pytest.fixture(scope="session")
+def halo_chain():
+    """``halo_chain(name, step, r_max)``: the preset's chain on that grid, built once."""
+    @functools.cache
+    def build(name: str, step: float, r_max: float) -> ChainResult:
+        return analyze(get_preset(name), RadialGrid.from_extent(step, r_max))
+    return build

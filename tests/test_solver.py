@@ -204,12 +204,12 @@ def test_wrong_known_levels_widen_to_the_default_bracket(chain_name, request, mo
         return outward_node_count(*args)
 
     monkeypatch.setattr(solver, "outward_node_count", counted)
-    for rec, state in ((chain.rec2, chain.v2_state), (chain.rec3, chain.v3_state)):
+    for rec in (chain.rec2, chain.rec3):
         good = rec.result
         wrong = dataclasses.replace(good, levels=chain.potential.levels[:len(good.levels)])
         assert wrong.levels != good.levels
         probes[0] = 0
-        solve_bound_state(good, chain.channel, 0, grid=chain.grid)
+        state = solve_bound_state(good, chain.channel, 0, grid=chain.grid)
         assert probes[0] == 2                 # the two ends of the known-level bracket
         probes[0] = 0
         got = solve_bound_state(wrong, chain.channel, 0, grid=chain.grid)
@@ -222,7 +222,8 @@ def test_wrong_known_levels_widen_to_the_default_bracket(chain_name, request, mo
 def test_rejected_corrections_fall_back_to_bisection(deuteron_chain, rejected, monkeypatch):
     # 0 MeV lies above every bracket, nan stands for a vanishing amplitude at the match
     chain = deuteron_chain
-    cases = [(chain.potential, 1, chain.physical), (chain.rec3.result, 0, chain.v3_state)]
+    v3_state = solve_bound_state(chain.rec3.result, chain.channel, 0, grid=chain.grid)
+    cases = [(chain.potential, 1, chain.physical), (chain.rec3.result, 0, v3_state)]
     monkeypatch.setattr(solver, "_cooley_energy", lambda *args: rejected)
     for pot, nodes, state in cases:
         got = solve_bound_state(pot, chain.channel, nodes, grid=chain.grid)

@@ -4,18 +4,20 @@
 
 Each of the 54 cases of ``cli_digests.py`` runs once per tree through its
 ``run``, a fresh ``python -m susypep.cli`` on that tree's ``src`` and
-built backend. For stdout, stderr and each written file but the checksum
-manifest, one line gives the count of numbers, the largest relative
-deviation over the pairs with |x| > 1e-3 and the largest absolute one over
-the rest; a summary per file name follows. The exit status is 1 when a
-tree has no ``src/susypep/cli.py`` (nothing runs), when a case's exit code
-or file list differs between the trees, or a file's count of numbers or
-its text between them, else 0. A case that exits with a code the CLI never
-returns stops ``run`` with its stderr.
+built backend. The runs go side by side in a thread pool of the default
+size, and the lines are printed in case order. For stdout, stderr and each
+written file but the checksum manifest, one line gives the count of
+numbers, the largest relative deviation over the pairs with |x| > 1e-3 and
+the largest absolute one over the rest; a summary per file name follows.
+The exit status is 1 when a tree has no ``src/susypep/cli.py`` (nothing
+runs), when a case's exit code or file list differs between the trees, or
+a file's count of numbers or its text between them, else 0. A case that
+exits with a code the CLI never returns stops ``run`` with its stderr.
 """
 import math
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from cli_digests import CASES, run
@@ -48,24 +50,27 @@ def main(old_tree: str, new_tree: str) -> int:
         return 1
     failed = False
     worst: dict[str, tuple[float, float]] = {}
-    for argv in CASES:
-        label = " ".join(argv)
-        (code_old, old), (code_new, new) = (run(tree, argv) for tree in trees)
-        if code_old != code_new or old.keys() != new.keys():
-            print(f"{label}: exit {code_old} -> {code_new}, files {sorted(old)} -> {sorted(new)}")
-            failed = True
-            continue
-        for name in (name for name in old if name != "manifest.json"):
-            dev = deviation(old[name].decode(), new[name].decode())
-            if dev is None:
-                print(f"{label}: {name} differs in its count of numbers or its text")
+    with ThreadPoolExecutor() as pool:
+        runs = pool.map(lambda job: run(*job), [(tree, argv) for argv in CASES for tree in trees])
+        for argv in CASES:
+            (code_old, old), (code_new, new) = next(runs), next(runs)
+            label = " ".join(argv)
+            if code_old != code_new or old.keys() != new.keys():
+                print(f"{label}: exit {code_old} -> {code_new}, "
+                      f"files {sorted(old)} -> {sorted(new)}")
                 failed = True
                 continue
-            count, rel, absolute = dev
-            print(f"{label}: {name} n={count} rel={rel:.2g} abs={absolute:.2g}", flush=True)
-            key = re.sub(r"_(deuteron|be11|alpha)\.", ".", name)
-            w_rel, w_abs = worst.get(key, (0.0, 0.0))
-            worst[key] = (max(w_rel, rel), max(w_abs, absolute))
+            for name in (name for name in old if name != "manifest.json"):
+                dev = deviation(old[name].decode(), new[name].decode())
+                if dev is None:
+                    print(f"{label}: {name} differs in its count of numbers or its text")
+                    failed = True
+                    continue
+                count, rel, absolute = dev
+                print(f"{label}: {name} n={count} rel={rel:.2g} abs={absolute:.2g}", flush=True)
+                key = re.sub(r"_(deuteron|be11|alpha)\.", ".", name)
+                w_rel, w_abs = worst.get(key, (0.0, 0.0))
+                worst[key] = (max(w_rel, rel), max(w_abs, absolute))
     print("largest deviation per file:")
     for key, (rel, absolute) in sorted(worst.items()):
         print(f"  {key}: rel={rel:.2g} (|x| > {SMALL:g}) abs={absolute:.2g} (|x| <= {SMALL:g})")
